@@ -1,11 +1,12 @@
 // Dense-kernel micro-benchmark for the execution backends
-// (src/tensor/backend.h): serial GFLOP/s, vector-backend GFLOP/s for the
-// register-blocked GEMM family, and parallel thread-scaling at 1/2/4
-// threads for the hot KernelBackend entry points on training-shaped
-// matrices (batch x hidden blocks as the trainer sees them). Before
-// timing, every kernel's vector and parallel outputs are checked
-// bit-equal to the serial reference, so the numbers can never come from
-// a divergent code path.
+// (src/tensor/backend.h): serial GFLOP/s, single-threaded SIMD GFLOP/s
+// (`vector_gflops`: the parallel backend over a 1-thread pool, where every
+// kernel runs inline) for the register-blocked GEMM family, and parallel
+// thread-scaling at 1/2/4 threads for the hot KernelBackend entry points
+// on training-shaped matrices (batch x hidden blocks as the trainer sees
+// them). Before timing, every kernel's parallel output at each pool size
+// is checked bit-equal to the serial reference, so the numbers can never
+// come from a divergent code path.
 //
 // Speedup columns report thread scaling of the parallel backend itself
 // (parallel@1 / parallel@t seconds), so they isolate the tile-sharding
@@ -43,8 +44,8 @@ const int kThreadCounts[] = {1, 2, 4};
 
 /// One benchmarked kernel: `run` executes it once under a backend and
 /// returns the result for the bit-equality check. `vectorized` marks the
-/// GEMM-family kernels the vector backend reimplements (the rest delegate
-/// to serial, so timing them under it would just measure serial twice).
+/// GEMM-family kernels that run the SIMD tile cores (the rest run the
+/// serial loops, so a SIMD GFLOP/s column for them would say nothing).
 struct KernelCase {
   std::string name;
   std::string shape;
@@ -86,8 +87,9 @@ bool BitEqual(const Matrix& a, const Matrix& b) {
                                        sizeof(float) * a.size()) == 0);
 }
 
-/// Measures one kernel under the serial, vector, and parallel backends;
-/// dies loudly if any non-serial result diverges from the reference.
+/// Measures one kernel under the serial backend and the parallel backend
+/// at every pool size; dies loudly if any parallel result diverges from
+/// the reference.
 KernelResult MeasureKernel(const KernelCase& kernel, double min_seconds,
                            bool* equivalence_ok) {
   const SerialBackend& serial = SerialKernelBackend();
@@ -99,21 +101,9 @@ KernelResult MeasureKernel(const KernelCase& kernel, double min_seconds,
       SecondsPerRun(kernel.run, serial, min_seconds);
   result.serial_gflops = kernel.flops / serial_seconds * 1e-9;
 
-  const VectorBackend& vector = VectorKernelBackend();
-  if (!BitEqual(want, kernel.run(vector))) {
-    std::fprintf(stderr, "FAIL: %s diverges under the vector backend\n",
-                 kernel.name.c_str());
-    *equivalence_ok = false;
-  }
-  if (kernel.vectorized) {
-    const double vector_seconds =
-        SecondsPerRun(kernel.run, vector, min_seconds);
-    result.vector_gflops = kernel.flops / vector_seconds * 1e-9;
-  }
-
   // Thread scaling: time the parallel backend at every count and report
   // each relative to its own 1-thread time, so the column measures the
-  // tile sharding alone (its kernels already run the vector cores).
+  // tile sharding alone (its kernels already run the SIMD cores).
   std::vector<double> parallel_seconds;
   for (int threads : kThreadCounts) {
     ThreadPool pool(threads);
@@ -128,6 +118,11 @@ KernelResult MeasureKernel(const KernelCase& kernel, double min_seconds,
   }
   for (double seconds : parallel_seconds) {
     result.speedup.push_back(parallel_seconds.front() / seconds);
+  }
+  // The 1-thread pool runs every tile inline: that time is the
+  // single-threaded SIMD throughput.
+  if (kernel.vectorized) {
+    result.vector_gflops = kernel.flops / parallel_seconds.front() * 1e-9;
   }
   return result;
 }
@@ -178,7 +173,7 @@ std::vector<KernelCase> BuildKernelCases(std::vector<Matrix>* store,
                      return b.MatMulTransB(act, w);
                    }});
   // The graph-program replay epilogue: GEMM + bias + relu in one pass, the
-  // shape every fused forward layer takes. Exercises the vector epilogue's
+  // shape every fused forward layer takes. Exercises the SIMD epilogue's
   // bit-exactness against serial on every run.
   cases.push_back({"FusedMatMulBiasAct", gemm_shape + " +b relu",
                    gemm_flops + 2.0 * batch * hidden, true,
@@ -297,8 +292,8 @@ int Run(bool smoke) {
       }
     }
   }
-  // The speedup columns depend on free cores, but a vector or parallel
-  // result that differs from serial is always a hard failure.
+  // The speedup columns depend on free cores, but a parallel result that
+  // differs from serial is always a hard failure.
   return equivalence_ok && scaling_ok ? 0 : 1;
 }
 

@@ -224,9 +224,12 @@ int Run(bool smoke) {
               BenchScaleName(scale).c_str(),
               std::thread::hardware_concurrency());
   RegisterAllModels();
-  // Timing runs single-threaded: the fused-vs-eager ratio is the quantity
-  // under test, and the serial backend removes pool scheduling noise.
-  BackendGuard backend(BackendForThreads(1));
+  // Timing runs single-threaded on the default backend: the fused-vs-eager
+  // ratio is the quantity under test, and a 1-thread pool runs every
+  // kernel inline, free of pool scheduling noise.
+  ThreadPool pool(1);
+  const ParallelBackend backend(&pool);
+  BackendGuard backend_guard(&backend);
 
   const int steps_per_epoch = smoke ? 30 : 200;
   const int epochs = smoke ? 2 : 3;

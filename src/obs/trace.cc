@@ -130,8 +130,6 @@ const char* KernelName(Kernel k) {
     case Kernel::kSpMMTransposed: return "SpMMTransposed";
     case Kernel::kFusedMatMulBiasAct: return "FusedMatMulBiasAct";
     case Kernel::kFusedEltwise: return "FusedEltwise";
-    case Kernel::kPlannedMatMulTransA: return "PlannedMatMulTransA";
-    case Kernel::kPlannedMatMulTransB: return "PlannedMatMulTransB";
     case Kernel::kCount: break;
   }
   return "?";

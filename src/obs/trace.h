@@ -175,8 +175,6 @@ enum class Kernel : int {
   // the backend; the scopes live at those call sites).
   kFusedMatMulBiasAct,
   kFusedEltwise,
-  kPlannedMatMulTransA,
-  kPlannedMatMulTransB,
   kCount,
 };
 

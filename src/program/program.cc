@@ -351,9 +351,8 @@ void GraphProgram::CompileGroups() {
         ++cur;
       }
       // A bare MatMul (size 1) still forms a group: materialization routes
-      // it through the planned GEMM kernels (forward FusedMatMulBiasActInto
-      // with no epilogue, backward PlannedMatMulTrans{A,B}), which are
-      // bit-exact with the eager kernels but register-blocked.
+      // its forward through FusedMatMulBiasActInto with no epilogue, like
+      // every other GEMM group.
       const int gidx = static_cast<int>(groups_.size());
       for (int m = 0; m < g.size; ++m) {
         instrs_[g.first_pc + m].group = gidx;
@@ -697,21 +696,8 @@ void GraphProgram::MaterializeGroup(int upto, ag::Tensor* target) {
         norm_bias = NormalizeLinkGrad(*cur);
         cur = &norm_bias;
       }
-      // Planned (register-blocked) GEMMs: bit-exact with the eager
-      // k::MatMulTransB / k::MatMulTransA calls, faster on the replay path.
-      const KernelBackend& backend = CurrentBackend();
-      {
-        const obs::KernelScope scope(
-            obs::Kernel::kPlannedMatMulTransB,
-            2ll * cur->rows() * cur->cols() * b.value().rows());
-        a.raw()->AccumulateGrad(backend.PlannedMatMulTransB(*cur, b.value()));
-      }
-      {
-        const obs::KernelScope scope(
-            obs::Kernel::kPlannedMatMulTransA,
-            2ll * a.value().rows() * a.value().cols() * cur->cols());
-        b.raw()->AccumulateGrad(backend.PlannedMatMulTransA(a.value(), *cur));
-      }
+      a.raw()->AccumulateGrad(k::MatMulTransB(*cur, b.value()));
+      b.raw()->AccumulateGrad(k::MatMulTransA(a.value(), *cur));
     };
     return;
   }

@@ -13,11 +13,6 @@
 namespace nmcdr {
 namespace {
 
-/// Minimum scalar work per ParallelFor chunk. Below roughly this many
-/// flops the fork/join handshake costs more than the loop; tiny kernels
-/// therefore collapse to a single chunk and run inline on the caller.
-constexpr int64_t kMinWorkPerChunk = 1 << 15;
-
 /// Rows (or columns / flat elements) per chunk for a kernel whose
 /// per-row cost is `cost_per_row` scalar ops.
 int64_t GrainFor(int64_t cost_per_row) {
@@ -47,10 +42,9 @@ void MatMulAccumRows(const Matrix& a, const Matrix& b, Matrix* out,
   }
 }
 
-// (The row-range TransA kernel the parallel backend used to shard is
-// gone: both the vector backend and the tile-sharded parallel path now
-// run VectorMatMulTransATile, whose per-element chain — ascending p with
-// the zero skip — still matches the serial p-outer reference below.)
+// TransA has no row-range kernel: the parallel path runs
+// VectorMatMulTransATile, whose per-element chain (ascending p with the
+// zero skip) matches the serial p-outer loop below.
 
 void MatMulTransBRows(const Matrix& a, const Matrix& b, Matrix* out,
                       int64_t r0, int64_t r1) {
@@ -66,11 +60,6 @@ void MatMulTransBRows(const Matrix& a, const Matrix& b, Matrix* out,
     }
   }
 }
-
-// The register-blocked GEMM cores and fused range kernels that replay
-// these loops live in fused_kernels.cc (same operation sequence per output
-// element, compiled at a higher optimization level — see the note there
-// and in CMakeLists.txt).
 
 /// Source rows [r0, r1): out(c, r) = a(r, c). A pure copy, so any shard
 /// order is bit-exact; sharding by source row keeps reads streaming.
@@ -209,8 +198,8 @@ void ConcatColsRows(const Matrix& a, const Matrix& b, Matrix* out, int64_t r0,
 }
 
 // Scalar activation bodies (ReluScalar etc.) come from scalar_kernels.h;
-// the fused range kernels and planned GEMM cores from fused_kernels.h;
-// the vectorized GEMM tile cores from vector_kernels.h.
+// the fused eltwise range kernel from fused_kernels.h; the vectorized GEMM
+// tile cores from vector_kernels.h.
 
 /// Runs a GEMM tile core over the 2-D output grid MakeGemmTileGrid picks
 /// for this pool, fanning the flattened tile index out over ParallelFor.
@@ -408,7 +397,20 @@ Matrix SerialBackend::ConcatCols(const Matrix& a, const Matrix& b) const {
 void SerialBackend::FusedMatMulBiasActInto(const Matrix& a, const Matrix& b,
                                            const Matrix* bias, FusedAct act,
                                            Matrix* out) const {
-  FusedMatMulRows(a, b, bias, act, out, 0, a.rows());
+  // The composed eager sequence, in place: MatMul, then AddRowBroadcast's
+  // per-element add, then the activation's scalar body.
+  MatMulAccumRows(a, b, out, 0, a.rows());
+  const int n = b.cols();
+  const float* brow = bias != nullptr ? bias->row(0) : nullptr;
+  for (int r = 0; r < out->rows(); ++r) {
+    float* crow = out->row(r);
+    if (brow != nullptr) {
+      for (int j = 0; j < n; ++j) crow[j] = crow[j] + brow[j];
+    }
+    if (act != FusedAct::kNone) {
+      for (int j = 0; j < n; ++j) crow[j] = FusedActApply(crow[j], act);
+    }
+  }
 }
 
 void SerialBackend::FusedEltwiseInto(const Matrix& a, const EltwiseStep* steps,
@@ -416,169 +418,11 @@ void SerialBackend::FusedEltwiseInto(const Matrix& a, const EltwiseStep* steps,
   FusedEltwiseRange(a, steps, num_steps, out, 0, a.size());
 }
 
-Matrix SerialBackend::PlannedMatMulTransA(const Matrix& a,
-                                          const Matrix& b) const {
-  Matrix out(a.cols(), b.cols());
-  PlannedMatMulTransARows(a, b, &out, 0, a.cols());
-  return out;
-}
-
-Matrix SerialBackend::PlannedMatMulTransB(const Matrix& a,
-                                          const Matrix& b) const {
-  // Transposing B once costs k*n float moves against the m*k*n GEMM and
-  // buys contiguous tile loads; the per-element double chain is untouched.
-  Matrix bt(b.cols(), b.rows());
-  TransposeRows(b, &bt, 0, b.rows());
-  Matrix out(a.rows(), b.rows());
-  PlannedMatMulTransBRows(a, bt, &out, 0, a.rows());
-  return out;
-}
-
 // ---------------------------------------------------------------------------
-// VectorBackend: the explicitly vectorized tile cores over the full output
-// on the caller's thread; everything outside the GEMM family delegates to
-// the serial reference (those kernels are memory-bound copies/element
-// loops the vector cores would not improve).
-// ---------------------------------------------------------------------------
-
-void VectorBackend::MatMulAccumInto(const Matrix& a, const Matrix& b,
-                                    Matrix* out) const {
-  VectorMatMulAccumTile(a, b, out, 0, a.rows(), 0, b.cols());
-}
-
-Matrix VectorBackend::MatMulTransA(const Matrix& a, const Matrix& b) const {
-  Matrix out(a.cols(), b.cols());
-  VectorMatMulTransATile(a, b, &out, 0, a.cols(), 0, b.cols());
-  return out;
-}
-
-Matrix VectorBackend::MatMulTransB(const Matrix& a, const Matrix& b) const {
-  // One k*n transpose buys contiguous lane loads for the m*k*n GEMM; the
-  // per-element double chain is untouched (see PlannedMatMulTransB).
-  Matrix bt(b.cols(), b.rows());
-  TransposeRows(b, &bt, 0, b.rows());
-  Matrix out(a.rows(), b.rows());
-  VectorMatMulTransBTile(a, bt, &out, 0, a.rows(), 0, b.rows());
-  return out;
-}
-
-Matrix VectorBackend::Transpose(const Matrix& a) const {
-  return SerialKernelBackend().Transpose(a);
-}
-
-Matrix VectorBackend::Add(const Matrix& a, const Matrix& b) const {
-  return SerialKernelBackend().Add(a, b);
-}
-
-Matrix VectorBackend::Sub(const Matrix& a, const Matrix& b) const {
-  return SerialKernelBackend().Sub(a, b);
-}
-
-Matrix VectorBackend::Hadamard(const Matrix& a, const Matrix& b) const {
-  return SerialKernelBackend().Hadamard(a, b);
-}
-
-Matrix VectorBackend::Axpby(const Matrix& a, float alpha, const Matrix& b,
-                            float beta) const {
-  return SerialKernelBackend().Axpby(a, alpha, b, beta);
-}
-
-void VectorBackend::AxpyInto(const Matrix& a, float alpha, Matrix* out) const {
-  SerialKernelBackend().AxpyInto(a, alpha, out);
-}
-
-Matrix VectorBackend::Scale(const Matrix& a, float s) const {
-  return SerialKernelBackend().Scale(a, s);
-}
-
-Matrix VectorBackend::AddScalar(const Matrix& a, float s) const {
-  return SerialKernelBackend().AddScalar(a, s);
-}
-
-Matrix VectorBackend::AddRowBroadcast(const Matrix& a, const Matrix& b) const {
-  return SerialKernelBackend().AddRowBroadcast(a, b);
-}
-
-Matrix VectorBackend::Relu(const Matrix& a) const {
-  return SerialKernelBackend().Relu(a);
-}
-
-Matrix VectorBackend::Sigmoid(const Matrix& a) const {
-  return SerialKernelBackend().Sigmoid(a);
-}
-
-Matrix VectorBackend::Tanh(const Matrix& a) const {
-  return SerialKernelBackend().Tanh(a);
-}
-
-Matrix VectorBackend::Softplus(const Matrix& a) const {
-  return SerialKernelBackend().Softplus(a);
-}
-
-Matrix VectorBackend::Exp(const Matrix& a) const {
-  return SerialKernelBackend().Exp(a);
-}
-
-Matrix VectorBackend::Log(const Matrix& a) const {
-  return SerialKernelBackend().Log(a);
-}
-
-Matrix VectorBackend::SoftmaxRows(const Matrix& a) const {
-  return SerialKernelBackend().SoftmaxRows(a);
-}
-
-Matrix VectorBackend::RowSum(const Matrix& a) const {
-  return SerialKernelBackend().RowSum(a);
-}
-
-Matrix VectorBackend::RowDot(const Matrix& a, const Matrix& b) const {
-  return SerialKernelBackend().RowDot(a, b);
-}
-
-Matrix VectorBackend::ColSum(const Matrix& a) const {
-  return SerialKernelBackend().ColSum(a);
-}
-
-Matrix VectorBackend::GatherRows(const Matrix& table,
-                                 const std::vector<int>& ids) const {
-  return SerialKernelBackend().GatherRows(table, ids);
-}
-
-void VectorBackend::ScatterAddRows(const Matrix& src,
-                                   const std::vector<int>& ids,
-                                   Matrix* out) const {
-  SerialKernelBackend().ScatterAddRows(src, ids, out);
-}
-
-Matrix VectorBackend::ConcatCols(const Matrix& a, const Matrix& b) const {
-  return SerialKernelBackend().ConcatCols(a, b);
-}
-
-void VectorBackend::FusedMatMulBiasActInto(const Matrix& a, const Matrix& b,
-                                           const Matrix* bias, FusedAct act,
-                                           Matrix* out) const {
-  VectorFusedMatMulTile(a, b, bias, act, out, 0, a.rows(), 0, b.cols());
-}
-
-void VectorBackend::FusedEltwiseInto(const Matrix& a, const EltwiseStep* steps,
-                                     int num_steps, Matrix* out) const {
-  FusedEltwiseRange(a, steps, num_steps, out, 0, a.size());
-}
-
-Matrix VectorBackend::PlannedMatMulTransA(const Matrix& a,
-                                          const Matrix& b) const {
-  return MatMulTransA(a, b);
-}
-
-Matrix VectorBackend::PlannedMatMulTransB(const Matrix& a,
-                                          const Matrix& b) const {
-  return MatMulTransB(a, b);
-}
-
-// ---------------------------------------------------------------------------
-// ParallelBackend: GEMMs shard 2-D output tiles running the vector cores
+// ParallelBackend: GEMMs shard 2-D output tiles running the SIMD cores
 // (a 512x64 product splits into a tile grid instead of starving on 512
 // rows' worth of grain); everything else shards the serial range kernels.
+// Over a 1-thread pool every ParallelFor runs inline on the caller.
 // ---------------------------------------------------------------------------
 
 void ParallelBackend::MatMulAccumInto(const Matrix& a, const Matrix& b,
@@ -866,19 +710,6 @@ void ParallelBackend::FusedEltwiseInto(const Matrix& a,
                       });
 }
 
-Matrix ParallelBackend::PlannedMatMulTransA(const Matrix& a,
-                                            const Matrix& b) const {
-  // The planned (replay-path) backward GEMMs ride the same vector tile
-  // cores: bit-exact with PlannedMatMulTransARows by the shared
-  // per-element chain, and tile-sharded for the same scaling reason.
-  return MatMulTransA(a, b);
-}
-
-Matrix ParallelBackend::PlannedMatMulTransB(const Matrix& a,
-                                            const Matrix& b) const {
-  return MatMulTransB(a, b);
-}
-
 // ---------------------------------------------------------------------------
 // Backend selection.
 // ---------------------------------------------------------------------------
@@ -909,14 +740,8 @@ const SerialBackend& SerialKernelBackend() {
   return backend;
 }
 
-const VectorBackend& VectorKernelBackend() {
-  static const VectorBackend backend;
-  return backend;
-}
-
 const KernelBackend* BackendByName(std::string_view name) {
   if (name == "serial") return &SerialKernelBackend();
-  if (name == "vector") return &VectorKernelBackend();
   if (name == "parallel") return &ParallelKernelBackend();
   return nullptr;
 }
@@ -943,12 +768,6 @@ BackendGuard::BackendGuard(const KernelBackend* backend)
 
 BackendGuard::~BackendGuard() {
   if (active_) tl_backend_override = saved_;
-}
-
-const KernelBackend* BackendForThreads(int threads) {
-  if (threads <= 0) return nullptr;
-  if (threads == 1) return &SerialKernelBackend();
-  return &ParallelKernelBackend();
 }
 
 }  // namespace nmcdr

@@ -65,7 +65,7 @@ class KernelBackend {
  public:
   virtual ~KernelBackend() = default;
 
-  /// Stable name for logs / bench output ("serial", "vector", "parallel").
+  /// Stable name for logs / bench output ("serial", "parallel").
   virtual const char* name() const = 0;
 
   // Dense GEMM family. MatMul itself is derived: out = 0; MatMulAccumInto.
@@ -119,16 +119,6 @@ class KernelBackend {
   /// out[i] = steps applied to a[i] in order (see EltwiseStep).
   virtual void FusedEltwiseInto(const Matrix& a, const EltwiseStep* steps,
                                 int num_steps, Matrix* out) const = 0;
-
-  /// Register-blocked backward GEMMs (graph-program replay path). Bit-exact
-  /// with MatMulTransA / MatMulTransB — each output element sees the exact
-  /// same float (resp. double) accumulation sequence in ascending p — but a
-  /// block of output elements rides in local accumulators, so independent
-  /// per-element chains overlap instead of serializing through memory.
-  virtual Matrix PlannedMatMulTransA(const Matrix& a,
-                                     const Matrix& b) const = 0;
-  virtual Matrix PlannedMatMulTransB(const Matrix& a,
-                                     const Matrix& b) const = 0;
 };
 
 /// The seed repo's single-threaded kernels, verbatim (moved here from
@@ -171,68 +161,17 @@ class SerialBackend final : public KernelBackend {
                               Matrix* out) const override NMCDR_HOT;
   void FusedEltwiseInto(const Matrix& a, const EltwiseStep* steps,
                         int num_steps, Matrix* out) const override NMCDR_HOT;
-  Matrix PlannedMatMulTransA(const Matrix& a,
-                             const Matrix& b) const override NMCDR_HOT;
-  Matrix PlannedMatMulTransB(const Matrix& a,
-                             const Matrix& b) const override NMCDR_HOT;
 };
 
-/// Single-threaded kernels with the GEMM family (and its fused epilogues)
-/// routed through the register-blocked, explicitly vectorized tile cores
-/// of tensor/vector_kernels.h; every other kernel delegates to the serial
-/// reference. Bit-exact with SerialBackend by the vector-core contract
-/// (same per-element IEEE sequence). Selected via NMCDR_BACKEND=vector or
-/// --backend vector.
-class VectorBackend final : public KernelBackend {
- public:
-  const char* name() const override { return "vector"; }
-  void MatMulAccumInto(const Matrix& a, const Matrix& b,
-                       Matrix* out) const override;
-  Matrix MatMulTransA(const Matrix& a, const Matrix& b) const override;
-  Matrix MatMulTransB(const Matrix& a, const Matrix& b) const override;
-  Matrix Transpose(const Matrix& a) const override;
-  Matrix Add(const Matrix& a, const Matrix& b) const override;
-  Matrix Sub(const Matrix& a, const Matrix& b) const override;
-  Matrix Hadamard(const Matrix& a, const Matrix& b) const override;
-  Matrix Axpby(const Matrix& a, float alpha, const Matrix& b,
-               float beta) const override;
-  void AxpyInto(const Matrix& a, float alpha, Matrix* out) const override;
-  Matrix Scale(const Matrix& a, float s) const override;
-  Matrix AddScalar(const Matrix& a, float s) const override;
-  Matrix AddRowBroadcast(const Matrix& a, const Matrix& b) const override;
-  Matrix Relu(const Matrix& a) const override;
-  Matrix Sigmoid(const Matrix& a) const override;
-  Matrix Tanh(const Matrix& a) const override;
-  Matrix Softplus(const Matrix& a) const override;
-  Matrix Exp(const Matrix& a) const override;
-  Matrix Log(const Matrix& a) const override;
-  Matrix SoftmaxRows(const Matrix& a) const override;
-  Matrix RowSum(const Matrix& a) const override;
-  Matrix RowDot(const Matrix& a, const Matrix& b) const override;
-  Matrix ColSum(const Matrix& a) const override;
-  Matrix GatherRows(const Matrix& table,
-                    const std::vector<int>& ids) const override;
-  void ScatterAddRows(const Matrix& src, const std::vector<int>& ids,
-                      Matrix* out) const override;
-  Matrix ConcatCols(const Matrix& a, const Matrix& b) const override;
-  void FusedMatMulBiasActInto(const Matrix& a, const Matrix& b,
-                              const Matrix* bias, FusedAct act,
-                              Matrix* out) const override NMCDR_HOT;
-  void FusedEltwiseInto(const Matrix& a, const EltwiseStep* steps,
-                        int num_steps, Matrix* out) const override NMCDR_HOT;
-  Matrix PlannedMatMulTransA(const Matrix& a,
-                             const Matrix& b) const override NMCDR_HOT;
-  Matrix PlannedMatMulTransB(const Matrix& a,
-                             const Matrix& b) const override NMCDR_HOT;
-};
-
-/// Pool-backed kernels: 2-D tile-sharded GEMMs over the vector tile cores
-/// (tensor/vector_kernels.h) so small shapes like 512x64 split into
-/// enough tiles to feed every worker, chunked elementwise and activation
-/// loops, sharded GatherRows, column-sharded ColSum, and
-/// destination-row-sharded ScatterAddRows. Small inputs (below a
-/// per-kernel work grain) run the serial path inline, so pervasive
-/// dispatch through this backend never slows tiny training-step tensors.
+/// The one optimized backend: 2-D tile-sharded GEMMs over the
+/// register-blocked SIMD tile cores (tensor/vector_kernels.h) so small
+/// shapes like 512x64 split into enough tiles to feed every worker,
+/// chunked elementwise and activation loops, sharded GatherRows,
+/// column-sharded ColSum, and destination-row-sharded ScatterAddRows.
+/// Small inputs (below a per-kernel work grain) run as one chunk inline,
+/// so pervasive dispatch through this backend never slows tiny
+/// training-step tensors. Over a 1-thread pool every ParallelFor runs
+/// inline, which makes this the single-threaded SIMD path as well.
 class ParallelBackend final : public KernelBackend {
  public:
   /// `pool == nullptr` binds to ThreadPool::Shared() at call time (the
@@ -275,10 +214,6 @@ class ParallelBackend final : public KernelBackend {
                               Matrix* out) const override NMCDR_HOT;
   void FusedEltwiseInto(const Matrix& a, const EltwiseStep* steps,
                         int num_steps, Matrix* out) const override NMCDR_HOT;
-  Matrix PlannedMatMulTransA(const Matrix& a,
-                             const Matrix& b) const override NMCDR_HOT;
-  Matrix PlannedMatMulTransB(const Matrix& a,
-                             const Matrix& b) const override NMCDR_HOT;
 
   ThreadPool* pool() const {
     return pool_ != nullptr ? pool_ : ThreadPool::Shared();
@@ -290,10 +225,9 @@ class ParallelBackend final : public KernelBackend {
 
 /// Long-lived singleton instances (function-local statics).
 const SerialBackend& SerialKernelBackend();
-const VectorBackend& VectorKernelBackend();
 const ParallelBackend& ParallelKernelBackend();  // over ThreadPool::Shared()
 
-/// Singleton lookup by stable name ("serial", "vector", "parallel") — the
+/// Singleton lookup by stable name ("serial", "parallel") — the
 /// resolver behind the --backend CLI flags and the NMCDR_BACKEND
 /// environment knob. Returns nullptr for an unknown name.
 const KernelBackend* BackendByName(std::string_view name);
@@ -303,7 +237,7 @@ const KernelBackend* BackendByName(std::string_view name);
 const KernelBackend& CurrentBackend();
 
 /// Replaces the process-default backend (initially ParallelKernelBackend,
-/// or the backend NMCDR_BACKEND=serial|vector|parallel names in the
+/// or the backend NMCDR_BACKEND=serial|parallel names in the
 /// environment). Pass nullptr to restore the built-in default. Not a
 /// synchronization point: call during startup, before concurrent kernel
 /// users exist.
@@ -323,11 +257,6 @@ class BackendGuard {
   const KernelBackend* saved_;
   bool active_;
 };
-
-/// Maps a user-facing thread-count knob (TrainConfig::threads, --threads)
-/// to a backend override: 0 -> nullptr (inherit current), 1 ->
-/// SerialKernelBackend, >1 -> ParallelKernelBackend over the shared pool.
-const KernelBackend* BackendForThreads(int threads);
 
 }  // namespace nmcdr
 

@@ -1,9 +1,9 @@
 // Explicitly vectorized GEMM tile cores (tensor/vector_kernels.h).
 //
-// Like fused_kernels.cc, this translation unit is compiled at -O3 with
-// -ffp-contract=off (src/tensor/CMakeLists.txt): every accumulator chain
-// below is an independent per-output-element sequence the compiler may
-// not reassociate, the lane ops from tensor/simd.h are lane-wise IEEE
+// This translation unit is compiled at -O3 with -ffp-contract=off
+// (src/tensor/CMakeLists.txt): every accumulator chain below is an
+// independent per-output-element sequence the compiler may not
+// reassociate, the lane ops from tensor/simd.h are lane-wise IEEE
 // operations with no horizontal reduction, and contraction of the
 // explicit multiply-then-add pairs into FMAs — the one transform that
 // could change rounding — is forbidden. The eager kernels in backend.cc
@@ -24,10 +24,6 @@ using simd::F32x8;
 using simd::F64x4;
 using simd::kDoubleLanes;
 using simd::kFloatLanes;
-
-/// Mirrors backend.cc's min scalar work per pool chunk (kept in sync by
-/// value; a scheduling knob only — never affects results).
-constexpr int64_t kMinTileWork = 1 << 15;
 
 /// One register tile of `acc[j] += av * b[p][j]` accumulation, NV lanes of
 /// kFloatLanes floats wide. The fixed register count lets the compiler
@@ -117,20 +113,6 @@ inline void DotRowSpan(const float* arow, const float* bt0, size_t bt_stride,
   }
 }
 
-inline float FusedActApply(float x, FusedAct act) {
-  switch (act) {
-    case FusedAct::kNone:
-      return x;
-    case FusedAct::kRelu:
-      return ReluScalar(x);
-    case FusedAct::kSigmoid:
-      return SigmoidScalar(x);
-    case FusedAct::kTanh:
-      return TanhScalar(x);
-  }
-  return x;
-}
-
 inline int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
 
 }  // namespace
@@ -204,7 +186,7 @@ GemmTileGrid MakeGemmTileGrid(int64_t rows, int64_t cols, int64_t k,
       std::max<int64_t>(1, int64_t{2} * std::max(1, threads) / g.col_tiles);
   int64_t rb = CeilDiv(rows, want_row_tiles);
   const int64_t tile_cost = std::max<int64_t>(1, g.col_block * k);
-  rb = std::max(rb, CeilDiv(kMinTileWork, tile_cost));
+  rb = std::max(rb, CeilDiv(kMinWorkPerChunk, tile_cost));
   g.row_block = std::min(rb, rows);
   g.row_tiles = CeilDiv(rows, g.row_block);
   return g;

@@ -6,8 +6,8 @@
 #include "tensor/backend.h"  // FusedAct
 #include "tensor/matrix.h"
 
-// Register-blocked, cache-tiled, explicitly vectorized GEMM cores (the
-// NMCDR_BACKEND=vector path and the tile-sharded ParallelBackend GEMMs).
+// Register-blocked, cache-tiled, explicitly vectorized GEMM cores: the
+// tiles ParallelBackend shards its GEMM family over.
 // Built on the lane abstraction in tensor/simd.h and defined in
 // vector_kernels.cc, a translation unit compiled at -O3 with
 // -ffp-contract=off — see src/tensor/CMakeLists.txt for why that is
@@ -30,7 +30,7 @@ void VectorMatMulAccumTile(const Matrix& a, const Matrix& b, Matrix* out,
                            int64_t r0, int64_t r1, int64_t c0, int64_t c1);
 
 /// Tile of A^T * B into a zero-initialized out; per element identical to
-/// MatMulTransARows.
+/// SerialBackend::MatMulTransA (ascending p, shared zero skip).
 void VectorMatMulTransATile(const Matrix& a, const Matrix& b, Matrix* out,
                             int64_t r0, int64_t r1, int64_t c0, int64_t c1);
 
@@ -42,10 +42,10 @@ void VectorMatMulTransBTile(const Matrix& a, const Matrix& bt, Matrix* out,
 
 /// Tile of the fused epilogue family: accumulate a*b into the (pre-zeroed)
 /// tile, then per row apply the bias add and activation over [c0, c1).
-/// Per element identical to FusedMatMulRows (which itself bit-matches the
-/// separate MatMul / AddRowBroadcast / activation kernels). The bias and
-/// activation are column-wise independent, so a column-tiled epilogue
-/// still applies them exactly once per element.
+/// Per element identical to SerialBackend::FusedMatMulBiasActInto (which
+/// itself bit-matches the separate MatMul / AddRowBroadcast / activation
+/// kernels). The bias and activation are column-wise independent, so a
+/// column-tiled epilogue still applies them exactly once per element.
 void VectorFusedMatMulTile(const Matrix& a, const Matrix& b,
                            const Matrix* bias, FusedAct act, Matrix* out,
                            int64_t r0, int64_t r1, int64_t c0, int64_t c1);

@@ -5,7 +5,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "program/program.h"
-#include "tensor/backend.h"
 #include "util/check.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
@@ -58,8 +57,6 @@ LabeledBatch Trainer::NextBatch(DomainSide side, Rng* rng) {
 }
 
 TrainSummary Trainer::Train(RecModel* model) {
-  // Pin the kernel backend for the whole run (no-op when threads == 0).
-  BackendGuard backend_guard(BackendForThreads(config_.threads));
   Rng rng(config_.seed);
   TrainSummary summary;
   Stopwatch watch;

@@ -1,12 +1,13 @@
 // Bit-exactness fuzz for the kernel backends (src/tensor/backend.h): every
 // KernelBackend entry point must produce byte-identical results under the
-// serial backend, under the explicitly vectorized backend (register-blocked
-// SIMD GEMM family), and under the parallel backend at several pool sizes,
-// including 0-row, 1-row, and ragged-tail shapes — tails are where SIMD
-// remainder handling breaks first. This is the enforcement arm of the
-// backend contract — training and serving results must not depend on the
-// backend or thread count. Trainer-level tests close the loop end to end:
-// identical final loss serial vs vector vs parallel, across the model zoo.
+// serial backend and under the parallel backend at several pool sizes —
+// a 1-thread pool runs the register-blocked SIMD GEMM tiles inline, larger
+// pools shard them — including 0-row, 1-row, and ragged-tail shapes: tails
+// are where SIMD remainder handling breaks first. This is the enforcement
+// arm of the backend contract — training and serving results must not
+// depend on the backend or thread count. Trainer-level tests close the
+// loop end to end: identical final loss serial vs parallel at 1 and 4
+// threads, across the model zoo.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -69,8 +70,9 @@ std::vector<int> RandomIds(int count, int table_rows, Rng* rng) {
   return ::testing::AssertionSuccess();
 }
 
-/// Pool sizes the parallel backend is fuzzed at. 1 (degenerate), 2/3
-/// (ragged splits of most shapes), 5 (more chunks than some dimensions).
+/// Pool sizes the parallel backend is fuzzed at. 1 (every kernel inline:
+/// the single-threaded SIMD path), 2/3 (ragged splits of most shapes), 5
+/// (more chunks than some dimensions).
 const int kPoolSizes[] = {1, 2, 3, 5};
 
 /// (rows, cols) shapes covering empty, single-row/col, and ragged tails
@@ -78,16 +80,11 @@ const int kPoolSizes[] = {1, 2, 3, 5};
 const int kShapes[][2] = {{0, 4}, {1, 1},  {1, 7},  {3, 5},
                           {7, 3}, {5, 17}, {33, 9}, {64, 1}};
 
-/// Runs `check(serial, other)` once with the vector backend and once per
-/// fuzzed pool size with the parallel backend, so every call site fuzzes
-/// all non-reference backends against the serial reference.
+/// Runs `check(serial, parallel)` once per fuzzed pool size, so every call
+/// site fuzzes the optimized backend against the serial reference.
 template <typename Fn>
 void ForEachCheckedBackend(Fn check) {
   const SerialBackend& serial = SerialKernelBackend();
-  {
-    SCOPED_TRACE("vector backend");
-    check(serial, VectorKernelBackend());
-  }
   for (int pool_size : kPoolSizes) {
     SCOPED_TRACE("pool size " + std::to_string(pool_size));
     ThreadPool pool(pool_size);
@@ -216,10 +213,9 @@ TEST(BackendEquivalenceTest, GatherAndScatter) {
 }
 
 /// The fused kernels (graph-program replay path): the GEMM+bias+activation
-/// epilogue in every activation variant with and without bias, the fused
-/// elementwise chain, and the planned backward GEMMs — all bit-exact with
-/// serial under the vector backend (whose epilogues run inside the SIMD
-/// tile cores) and the parallel backend at every pool size.
+/// epilogue in every activation variant with and without bias (it runs
+/// inside the SIMD tile cores), and the fused elementwise chain — all
+/// bit-exact with serial under the parallel backend at every pool size.
 TEST(BackendEquivalenceTest, FusedEpilogues) {
   Rng rng(17);
   const FusedAct kActs[] = {FusedAct::kNone, FusedAct::kRelu,
@@ -244,14 +240,6 @@ TEST(BackendEquivalenceTest, FusedEpilogues) {
           EXPECT_TRUE(BitEqual(out_s, out_p));
         }
       }
-
-      const Matrix ta = RandomMatrix(k, m, &rng);
-      const Matrix tb = RandomMatrix(k, n, &rng);
-      EXPECT_TRUE(BitEqual(s.PlannedMatMulTransA(ta, tb),
-                           p.PlannedMatMulTransA(ta, tb)));
-      const Matrix bb = RandomMatrix(n, k, &rng);
-      EXPECT_TRUE(BitEqual(s.PlannedMatMulTransB(a, bb),
-                           p.PlannedMatMulTransB(a, bb)));
 
       // A representative fused elementwise chain (the sigmoid-BCE shape):
       // sigmoid(cur), then side - cur, then scale.
@@ -290,48 +278,46 @@ TEST(BackendEquivalenceTest, BackendGuardSelectsPerThread) {
   }
 }
 
-TEST(BackendEquivalenceTest, BackendForThreadsMapsKnob) {
-  EXPECT_EQ(BackendForThreads(0), nullptr);
-  EXPECT_EQ(BackendForThreads(1), &SerialKernelBackend());
-  EXPECT_EQ(BackendForThreads(4), &ParallelKernelBackend());
-}
-
 /// End-to-end determinism: the same model trained with the serial backend
-/// and with the parallel backend (shared pool) reaches the bit-identical
-/// final loss — the whole forward/backward/update chain is backend-proof.
+/// and with the parallel backend over a 4-thread pool reaches the
+/// bit-identical final loss — the whole forward/backward/update chain is
+/// backend-proof.
 TEST(BackendEquivalenceTest, TrainerFinalLossIdenticalAcrossBackends) {
   NmcdrConfig model_config;
   model_config.hidden_dim = 8;
   model_config.mlp_hidden = {16};
+  ThreadPool pool(4);
+  const ParallelBackend parallel(&pool);
 
-  auto run = [&](int threads) {
+  auto run = [&](const KernelBackend* backend) {
+    BackendGuard guard(backend);
     auto data = testing_util::TinyData();
     NmcdrModel model(data->View(), model_config, /*seed=*/3, 1e-3f);
     TrainConfig config;
     config.epochs = 2;
     config.batch_size = 64;
-    config.threads = threads;
     Trainer trainer(data->View(), config);
     return trainer.Train(&model).final_loss;
   };
 
-  const float serial_loss = run(1);
-  const float parallel_loss = run(4);
+  const float serial_loss = run(&SerialKernelBackend());
+  const float parallel_loss = run(&parallel);
   EXPECT_EQ(serial_loss, parallel_loss);  // bitwise, not approximately
 }
 
-/// The vector backend end to end, across the model zoo: every registered
-/// model trained with the register-blocked SIMD kernels (BackendGuard
-/// pinning the vector backend; TrainConfig::threads = 0 inherits it)
-/// reaches the bit-identical final loss of the serial run. This is the
-/// trainer-level arm of the vector bit-exactness contract — the same
-/// guarantee NMCDR_BACKEND=vector relies on in the release-vector CI leg.
+/// The single-threaded SIMD path end to end, across the model zoo: every
+/// registered model trained on the parallel backend over a 1-thread pool
+/// (every kernel inline, GEMMs in the register-blocked SIMD tiles) reaches
+/// the bit-identical final loss of the serial run. This is the
+/// trainer-level arm of the SIMD bit-exactness contract.
 TEST(BackendEquivalenceTest, TrainerFinalLossIdenticalVectorAcrossModels) {
   RegisterAllModels();
   CommonHyper hyper;
   hyper.embed_dim = 8;
   hyper.mlp_hidden = {16};
   hyper.seed = 3;
+  ThreadPool pool(1);
+  const ParallelBackend simd(&pool);
 
   for (const std::string& name : ModelRegistry::Instance().Names()) {
     SCOPED_TRACE("model " + name);
@@ -343,52 +329,54 @@ TEST(BackendEquivalenceTest, TrainerFinalLossIdenticalVectorAcrossModels) {
       TrainConfig config;
       config.epochs = 2;
       config.batch_size = 64;
-      config.threads = 0;  // inherit the guard's backend
       Trainer trainer(data->View(), config, &data->full_graph_z(),
                       &data->full_graph_zbar());
       return trainer.Train(model.get()).final_loss;
     };
 
     const float serial_loss = run(&SerialKernelBackend());
-    const float vector_loss = run(&VectorKernelBackend());
-    EXPECT_EQ(serial_loss, vector_loss);  // bitwise, not approximately
+    const float simd_loss = run(&simd);
+    EXPECT_EQ(serial_loss, simd_loss);  // bitwise, not approximately
   }
 }
 
 /// Graph-program fusion is numerics-neutral: every registered model
 /// trained with the compiled fused program (TrainConfig::fusion) reaches
 /// the bit-identical final loss of a fully eager run — under the serial
-/// backend and under the parallel backend. This is the model-zoo-wide
-/// enforcement arm of the src/program bitwise contract; models whose op
-/// streams the compiler cannot cover fall back to eager and must still
-/// match trivially.
+/// backend and under the parallel backend over a 4-thread pool. This is
+/// the model-zoo-wide enforcement arm of the src/program bitwise contract;
+/// models whose op streams the compiler cannot cover fall back to eager
+/// and must still match trivially.
 TEST(BackendEquivalenceTest, TrainerFinalLossIdenticalFusedVsEager) {
   RegisterAllModels();
   CommonHyper hyper;
   hyper.embed_dim = 8;
   hyper.mlp_hidden = {16};
   hyper.seed = 3;
+  ThreadPool pool(4);
+  const ParallelBackend parallel(&pool);
 
   for (const std::string& name : ModelRegistry::Instance().Names()) {
     SCOPED_TRACE("model " + name);
-    auto run = [&](bool fusion, int threads) {
+    auto run = [&](bool fusion, const KernelBackend* backend) {
+      BackendGuard guard(backend);
       auto data = testing_util::TinyData();
       auto model = ModelRegistry::Instance().Get(name)(data->View(), hyper,
                                                        /*lr=*/1e-3f);
       TrainConfig config;
       config.epochs = 2;
       config.batch_size = 64;
-      config.threads = threads;
       config.fusion = fusion;
       Trainer trainer(data->View(), config, &data->full_graph_z(),
                       &data->full_graph_zbar());
       return trainer.Train(model.get()).final_loss;
     };
 
-    const float eager_serial = run(/*fusion=*/false, /*threads=*/1);
-    const float fused_serial = run(/*fusion=*/true, /*threads=*/1);
-    const float eager_parallel = run(/*fusion=*/false, /*threads=*/4);
-    const float fused_parallel = run(/*fusion=*/true, /*threads=*/4);
+    const SerialBackend* serial = &SerialKernelBackend();
+    const float eager_serial = run(/*fusion=*/false, serial);
+    const float fused_serial = run(/*fusion=*/true, serial);
+    const float eager_parallel = run(/*fusion=*/false, &parallel);
+    const float fused_parallel = run(/*fusion=*/true, &parallel);
     EXPECT_EQ(eager_serial, fused_serial);      // bitwise, not approximately
     EXPECT_EQ(eager_parallel, fused_parallel);
     EXPECT_EQ(eager_serial, eager_parallel);
@@ -403,8 +391,11 @@ TEST(BackendEquivalenceTest, TrainerFinalLossIdenticalWithObsOnAndOff) {
   NmcdrConfig model_config;
   model_config.hidden_dim = 8;
   model_config.mlp_hidden = {16};
+  ThreadPool pool(2);
+  const ParallelBackend parallel(&pool);
 
   auto run = [&](bool metrics, bool profiling) {
+    BackendGuard guard(&parallel);
     obs::MetricsEnabledGuard metrics_guard(metrics);
     obs::ProfilingEnabledGuard profiling_guard(profiling);
     auto data = testing_util::TinyData();
@@ -412,7 +403,6 @@ TEST(BackendEquivalenceTest, TrainerFinalLossIdenticalWithObsOnAndOff) {
     TrainConfig config;
     config.epochs = 2;
     config.batch_size = 64;
-    config.threads = 2;
     Trainer trainer(data->View(), config);
     return trainer.Train(&model).final_loss;
   };

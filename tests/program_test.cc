@@ -182,13 +182,16 @@ TEST(FusedKernelTest, MatMulBiasActMatchesComposedOps) {
   }
 }
 
-TEST(FusedKernelTest, PlannedTransGemmsMatchReferenceKernels) {
+TEST(FusedKernelTest, TransGemmsMatchSerialAcrossTailWidths) {
   Rng rng(17);
-  // Odd shapes walk every tail-tile width (32/16/8/4/1 float, 8/4/2/1
-  // double); RandomMatrix's zeros exercise the av == 0 skip both kernels
-  // share.
-  const int shapes[][3] = {{1, 1, 1},   {2, 3, 2},    {7, 5, 9},
-                           {16, 16, 16}, {33, 17, 21}, {64, 31, 33}};
+  // The replay path's backward GEMMs are MatMulTransA / MatMulTransB. The
+  // output widths walk every SIMD tail of the tile cores (32/8/scalar
+  // float lanes for TransA, 8/4/scalar double lanes for TransB), and 100
+  // columns split into two column tiles; RandomMatrix's zeros exercise
+  // the av == 0 skip both backends share.
+  const int shapes[][3] = {{1, 1, 1},    {2, 3, 2},     {3, 4, 12},
+                           {7, 5, 9},    {16, 16, 16},  {9, 12, 40},
+                           {33, 17, 21}, {64, 31, 33},  {5, 6, 100}};
   for (const auto& s : shapes) {
     SCOPED_TRACE(std::to_string(s[0]) + "x" + std::to_string(s[1]) + "x" +
                  std::to_string(s[2]));
@@ -197,17 +200,15 @@ TEST(FusedKernelTest, PlannedTransGemmsMatchReferenceKernels) {
     const Matrix a = RandomMatrix(s[0], s[1], &rng);
     const Matrix g = RandomMatrix(s[0], s[2], &rng);
     const Matrix want_ta = serial.MatMulTransA(a, g);
-    EXPECT_TRUE(BitEqual(want_ta, serial.PlannedMatMulTransA(a, g)));
     // TransB: grad-like A is [m, n], B is [j, n].
     const Matrix gy = RandomMatrix(s[0], s[1], &rng);
     const Matrix b = RandomMatrix(s[2], s[1], &rng);
     const Matrix want_tb = serial.MatMulTransB(gy, b);
-    EXPECT_TRUE(BitEqual(want_tb, serial.PlannedMatMulTransB(gy, b)));
 
     ForEachParallelBackend(
         [&](const SerialBackend&, const ParallelBackend& parallel) {
-          EXPECT_TRUE(BitEqual(want_ta, parallel.PlannedMatMulTransA(a, g)));
-          EXPECT_TRUE(BitEqual(want_tb, parallel.PlannedMatMulTransB(gy, b)));
+          EXPECT_TRUE(BitEqual(want_ta, parallel.MatMulTransA(a, g)));
+          EXPECT_TRUE(BitEqual(want_tb, parallel.MatMulTransB(gy, b)));
         });
   }
 }

@@ -10,18 +10,18 @@
 //       scenario on shared user keys.
 //   run --scenario music-movie [--file s.tsv] --model NMCDR --ku 0.5
 //       [--ds 1.0] [--dim 16] [--lr 0.002] [--steps 1200] [--seed 7]
-//       [--threads N] [--backend serial|vector|parallel]
+//       [--threads N] [--backend serial|parallel]
 //       [--no-fusion] [--gat] [--dynamic-companion]
 //       [--save-checkpoint ckpt.bin] [--load-checkpoint ckpt.bin]
 //       [--metrics-out metrics.json] [--profile]
 //       Train and evaluate one model on one configuration; prints
 //       HR@10 / NDCG@10 / MRR per domain. --threads N sizes the shared
-//       kernel pool (N=1 forces the serial backend; results are
-//       bit-identical at any setting; default NMCDR_THREADS or all
+//       kernel pool (N=1 runs every kernel inline on the caller; results
+//       are bit-identical at any setting; default NMCDR_THREADS or all
 //       cores). --backend pins the process-default kernel backend
-//       (overrides NMCDR_BACKEND): serial reference, register-blocked
-//       vector SIMD, or pool-sharded parallel — bit-identical results
-//       by the backend contract, so this is a perf/debug switch.
+//       (overrides NMCDR_BACKEND): the serial reference, or the default
+//       pool-sharded SIMD `parallel` backend — bit-identical results by
+//       the backend contract, so this is a perf/debug switch.
 //       --no-fusion trains fully eager instead of compiling the
 //       step into a graph program (src/program); fused and eager runs
 //       are bitwise identical, so this is a debugging/benchmark switch
@@ -144,7 +144,7 @@ int CmdRun(const FlagParser& flags) {
     const KernelBackend* backend = BackendByName(backend_name);
     if (backend == nullptr) {
       std::fprintf(stderr,
-                   "--backend %s: unknown (serial, vector, parallel)\n",
+                   "--backend %s: unknown (serial, parallel)\n",
                    backend_name.c_str());
       return 2;
     }
@@ -191,7 +191,6 @@ int CmdRun(const FlagParser& flags) {
   train.batch_size = flags.GetInt("batch", 256);
   train.eval_every = -1;
   train.early_stop_patience = flags.GetInt("patience", 3);
-  train.threads = flags.GetInt("threads", 0);
   train.fusion = !flags.GetBool("no-fusion", false);
   train.verbose = flags.GetBool("verbose", false);
 

@@ -6,7 +6,7 @@
 //               [--steps 600] [--dim 16] [--seed 7]
 //               [--snapshot model.snapshot] [--threads 4] [--batch 8]
 //               [--requests 400] [--k 10] [--mode exact|fast|quantized]
-//               [--backend serial|vector|parallel]
+//               [--backend serial|parallel]
 //               [--shards N] [--layout layout.json]
 //               [--metrics-out metrics.json] [--profile]
 //
@@ -20,9 +20,8 @@
 //
 // --backend pins the process-default kernel backend (same knob as
 // NMCDR_BACKEND, which it overrides): `serial` is the bit-exact
-// reference, `vector` the register-blocked SIMD kernels, `parallel`
-// (default) the pool-sharded tiles over the vector cores. Results are
-// bit-identical across all three by the backend contract.
+// reference, `parallel` (default) the pool-sharded register-blocked SIMD
+// kernels. Results are bit-identical across both by the backend contract.
 //
 // --mode quantized serves the per-row int8 item tables
 // (serving/quantized_snapshot.h): the tool quantizes at freeze, saves the
@@ -133,7 +132,7 @@ int Run(int argc, char** argv) {
     const KernelBackend* backend = BackendByName(backend_name);
     if (backend == nullptr) {
       std::fprintf(stderr,
-                   "--backend %s: unknown (serial, vector, parallel)\n",
+                   "--backend %s: unknown (serial, parallel)\n",
                    backend_name.c_str());
       return 2;
     }
