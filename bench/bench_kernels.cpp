@@ -25,6 +25,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,6 +42,10 @@ namespace {
 
 /// Thread counts the parallel backend is measured at.
 const int kThreadCounts[] = {1, 2, 4};
+
+/// Interleaved timing rounds per thread count; each count keeps its
+/// fastest round.
+constexpr int kTimingRounds = 5;
 
 /// One benchmarked kernel: `run` executes it once under a backend and
 /// returns the result for the bit-equality check. `vectorized` marks the
@@ -103,18 +108,31 @@ KernelResult MeasureKernel(const KernelCase& kernel, double min_seconds,
 
   // Thread scaling: time the parallel backend at every count and report
   // each relative to its own 1-thread time, so the column measures the
-  // tile sharding alone (its kernels already run the SIMD cores).
-  std::vector<double> parallel_seconds;
+  // tile sharding alone (its kernels already run the SIMD cores). The
+  // counts are timed in interleaved rounds and each keeps its fastest
+  // round: interference from other load on the machine only ever adds
+  // time, so the minimum is the least noisy estimate, and interleaving
+  // keeps a burst of it from landing on one count alone.
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  std::vector<ParallelBackend> backends;
   for (int threads : kThreadCounts) {
-    ThreadPool pool(threads);
-    const ParallelBackend parallel(&pool);
-    if (!BitEqual(want, kernel.run(parallel))) {
+    pools.push_back(std::make_unique<ThreadPool>(threads));
+    backends.emplace_back(pools.back().get());
+    if (!BitEqual(want, kernel.run(backends.back()))) {
       std::fprintf(stderr, "FAIL: %s diverges at %d threads\n",
                    kernel.name.c_str(), threads);
       *equivalence_ok = false;
     }
-    parallel_seconds.push_back(
-        SecondsPerRun(kernel.run, parallel, min_seconds));
+  }
+  std::vector<double> parallel_seconds(backends.size(), 0.0);
+  for (int round = 0; round < kTimingRounds; ++round) {
+    for (size_t t = 0; t < backends.size(); ++t) {
+      const double seconds =
+          SecondsPerRun(kernel.run, backends[t], min_seconds);
+      if (round == 0 || seconds < parallel_seconds[t]) {
+        parallel_seconds[t] = seconds;
+      }
+    }
   }
   for (double seconds : parallel_seconds) {
     result.speedup.push_back(parallel_seconds.front() / seconds);

@@ -2,10 +2,12 @@
 // (1) per-pair scoring cost — full-autograd RecModel::Score vs the frozen
 // ScoreEngine in exact and fast modes (30-item candidate pools, the A/B
 // harness's retrieval size); (2) end-to-end top-K retrieval latency and
-// throughput through the InferenceServer at batch sizes 1 / 8 / 64.
+// throughput through a one-shard kFast ClusterServer at batch sizes
+// 1 / 8 / 64.
 #include <cstdio>
 #include <future>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -13,7 +15,9 @@
 #include "data/presets.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "serving/inference_server.h"
+#include "serving/cluster/cluster_server.h"
+#include "serving/cluster/shard_layout.h"
+#include "serving/cluster/sharded_snapshot.h"
 #include "serving/model_snapshot.h"
 #include "serving/score_engine.h"
 #include "train/experiment.h"
@@ -63,33 +67,35 @@ struct BatchResult {
   double throughput = 0.0;
 };
 
-/// Drives the server with waves of `batch_size` concurrent requests.
-BatchResult MeasureServer(const ScoreEngine& engine,
-                          const CdrScenario& scenario, int batch_size,
-                          int waves) {
-  InferenceServer::Options options;
+/// Drives a server over `sharded` with waves of `batch_size` concurrent
+/// requests.
+BatchResult MeasureServer(
+    const std::shared_ptr<const cluster::ShardedSnapshot>& sharded,
+    const CdrScenario& scenario, int batch_size, int waves) {
+  cluster::ClusterServer::Options options;
   options.num_threads = 4;
   options.max_batch = batch_size;
-  InferenceServer server(&engine, options);
+  cluster::ClusterServer server(sharded, options);
   Stopwatch timer;
   for (int w = 0; w < waves; ++w) {
-    std::vector<std::future<Recommendation>> futures;
+    std::vector<std::future<cluster::ClusterResponse>> futures;
     futures.reserve(batch_size);
     for (int i = 0; i < batch_size; ++i) {
-      RecRequest request;
-      request.target_domain = i % 2;
-      request.user_domain = request.target_domain;
-      request.user = (w * batch_size + i) %
-                     (request.target_domain == 0 ? scenario.z.num_users
-                                                 : scenario.zbar.num_users);
-      request.k = 10;
-      futures.push_back(server.Submit(request));
+      cluster::ClusterRequest request;
+      request.rec.target_domain = i % 2;
+      request.rec.user_domain = request.rec.target_domain;
+      request.rec.user = (w * batch_size + i) %
+                         (request.rec.target_domain == 0
+                              ? scenario.z.num_users
+                              : scenario.zbar.num_users);
+      request.rec.k = 10;
+      futures.push_back(server.Submit(std::move(request)));
     }
     for (auto& future : futures) future.get();
   }
   const double seconds = timer.ElapsedSeconds();
   server.Stop();
-  const ServerStats stats = server.stats();
+  const cluster::ServerStats stats = server.stats();
   BatchResult result;
   result.batch_size = batch_size;
   result.requests = stats.requests_served;
@@ -162,8 +168,10 @@ int Run() {
 
   const int waves = scale == BenchScale::kSmoke ? 20 : 200;
   std::vector<BatchResult> batches;
+  const auto sharded = std::make_shared<const cluster::ShardedSnapshot>(
+      snapshot, cluster::ShardLayout::Uniform(snapshot, 1));  // kFast
   for (int batch_size : {1, 8, 64}) {
-    batches.push_back(MeasureServer(fast, scenario, batch_size, waves));
+    batches.push_back(MeasureServer(sharded, scenario, batch_size, waves));
   }
   TablePrinter batch_table;
   batch_table.SetHeader({"Batch", "Requests", "Mean lat (ms)", "p50 (ms)",
@@ -177,7 +185,7 @@ int Run() {
                         FormatFloat(b.max_latency_ms, 3),
                         FormatFloat(b.throughput, 0)});
   }
-  std::printf("\nInferenceServer top-10 retrieval (4 threads)\n%s",
+  std::printf("\nClusterServer top-10 retrieval (1 shard, 4 threads)\n%s",
               batch_table.ToString().c_str());
 
   CsvWriter csv("serving_perf.csv");

@@ -2,18 +2,22 @@
 // serving world, train NMCDR offline on the pairwise scenario, freeze it
 // into a serving snapshot, and deploy the frozen ScoreEngine in a
 // three-group A/B test — Control (popularity), random, and NMCDR — then
-// hammer the concurrent InferenceServer with a burst of mixed requests
-// (including cross-domain cold-start users) and print its stats.
+// hammer the concurrent ClusterServer (one shard) with a burst of mixed
+// requests (including cross-domain cold-start users) and print its stats.
 //
 //   ./build/examples/online_serving
 
 #include <cstdio>
 #include <future>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "core/nmcdr_model.h"
 #include "serving/ab_test.h"
-#include "serving/inference_server.h"
+#include "serving/cluster/cluster_server.h"
+#include "serving/cluster/shard_layout.h"
+#include "serving/cluster/sharded_snapshot.h"
 #include "serving/model_snapshot.h"
 #include "serving/score_engine.h"
 #include "train/experiment.h"
@@ -98,31 +102,35 @@ int main() {
               static_cast<long long>(ab_counters.requests),
               static_cast<long long>(ab_counters.pairs_scored));
 
-  // 5. Concurrent serving burst: 4 workers drain a queue of top-10
-  // retrievals, a third of them cross-domain (Fund users asking for Loan
+  // 5. Concurrent serving burst: 4 drainers serve a queue of top-10
+  // retrievals from a one-shard cluster snapshot (the monolithic case),
+  // a third of them cross-domain (Fund users asking for Loan
   // recommendations — cold-start for users without a Loan account).
-  InferenceServer::Options server_options;
+  cluster::ClusterServer::Options server_options;
   server_options.num_threads = 4;
   server_options.max_batch = 8;
-  InferenceServer server(&engine, server_options);
-  std::vector<std::future<Recommendation>> futures;
+  cluster::ClusterServer server(
+      std::make_shared<const cluster::ShardedSnapshot>(
+          snapshot, cluster::ShardLayout::Uniform(snapshot, 1)),
+      server_options);
+  std::vector<std::future<cluster::ClusterResponse>> futures;
   const int burst = 600;
   for (int i = 0; i < burst; ++i) {
-    RecRequest request;
+    cluster::ClusterRequest request;
     if (i % 3 == 0) {
-      request.target_domain = 0;  // Loan recommendations...
-      request.user_domain = 1;    // ...for Fund users
-      request.user = i % world.NumUsers(1);
+      request.rec.target_domain = 0;  // Loan recommendations...
+      request.rec.user_domain = 1;    // ...for Fund users
+      request.rec.user = i % world.NumUsers(1);
     } else {
-      request.target_domain = request.user_domain = i % 2;
-      request.user = i % world.NumUsers(request.user_domain);
+      request.rec.target_domain = request.rec.user_domain = i % 2;
+      request.rec.user = i % world.NumUsers(request.rec.user_domain);
     }
-    request.k = 10;
-    futures.push_back(server.Submit(request));
+    request.rec.k = 10;
+    futures.push_back(server.Submit(std::move(request)));
   }
   int64_t cold = 0;
   for (auto& future : futures) {
-    if (future.get().cold_start) ++cold;
+    if (future.get().rec.cold_start) ++cold;
   }
   server.Stop();
   std::printf("\nburst of %d top-10 requests (%lld served cold-start)\n",

@@ -30,7 +30,7 @@ namespace obs {
 ///
 /// All primitives stay functional regardless of the obs enable flags —
 /// gating happens at the instrumentation scopes (obs/trace.h), not here,
-/// so components like InferenceServer that always account their traffic
+/// so components like ClusterServer that always account their traffic
 /// keep exact counts.
 
 inline constexpr int kShards = 8;

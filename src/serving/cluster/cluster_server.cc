@@ -1,5 +1,7 @@
 #include "serving/cluster/cluster_server.h"
 
+#include <algorithm>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,6 +26,35 @@ void AtomicMax(std::atomic<int64_t>& a, int64_t value) {
 
 }  // namespace
 
+double ServerStats::MeanLatencyMs() const {
+  return requests_served > 0 ? total_latency_ms / requests_served : 0.0;
+}
+
+double ServerStats::MeanBatchSize() const {
+  return batches > 0 ? static_cast<double>(requests_served) / batches : 0.0;
+}
+
+double ServerStats::ThroughputPerSec() const {
+  return wall_seconds > 0.0 ? requests_served / wall_seconds : 0.0;
+}
+
+std::string ServerStats::ToString() const {
+  std::ostringstream out;
+  out << "serving stats:\n"
+      << "  requests submitted : " << requests_submitted << "\n"
+      << "  requests served    : " << requests_served << "\n"
+      << "  cold-start served  : " << cold_start_served << "\n"
+      << "  batches            : " << batches << " (mean size "
+      << MeanBatchSize() << ", max " << max_batch_size << ")\n"
+      << "  max queue depth    : " << max_queue_depth << "\n"
+      << "  latency            : mean " << MeanLatencyMs() << " ms, p50 "
+      << p50_latency_ms << " ms, p95 " << p95_latency_ms << " ms, p99 "
+      << p99_latency_ms << " ms, max " << max_latency_ms << " ms\n"
+      << "  throughput         : " << ThroughputPerSec() << " req/s over "
+      << wall_seconds << " s\n";
+  return out.str();
+}
+
 ClusterServer::ClusterServer(std::shared_ptr<const ShardedSnapshot> initial,
                              Options options)
     : options_(options),
@@ -40,6 +71,8 @@ ClusterServer::ClusterServer(std::shared_ptr<const ShardedSnapshot> initial,
     const std::string cls = RequestClassName(static_cast<RequestClass>(c));
     submitted_[c] = &metrics_->GetCounter("cluster.submitted." + cls);
     served_[c] = &metrics_->GetCounter("cluster.served." + cls);
+    cold_start_served_[c] =
+        &metrics_->GetCounter("cluster.cold_start_served." + cls);
     shed_queue_full_[c] =
         &metrics_->GetCounter("cluster.shed_queue_full." + cls);
     shed_deadline_[c] = &metrics_->GetCounter("cluster.shed_deadline." + cls);
@@ -47,6 +80,8 @@ ClusterServer::ClusterServer(std::shared_ptr<const ShardedSnapshot> initial,
     latency_ms_[c] =
         &metrics_->GetLatencyHistogram("cluster.latency_ms." + cls);
   }
+  latency_ms_all_ = &metrics_->GetLatencyHistogram("cluster.latency_ms");
+  batches_ = &metrics_->GetCounter("cluster.batches");
   stopped_rejects_ = &metrics_->GetCounter("cluster.stopped_rejects");
 }
 
@@ -94,8 +129,10 @@ std::future<ClusterResponse> ClusterServer::Submit(ClusterRequest request) {
     }
     queue_depth_[c]->Set(static_cast<double>(
         admission_.Depth(static_cast<RequestClass>(c))));
+    const int depth = admission_.TotalDepth();
+    max_queue_depth_ = std::max<int64_t>(max_queue_depth_, depth);
     // Keep the invariant: a non-empty queue always has a drainer coming.
-    dispatch_drainer = TryReserveDrainerLocked(admission_.TotalDepth());
+    dispatch_drainer = TryReserveDrainerLocked(depth);
   }
   if (dispatch_drainer) {
     ThreadPool::Shared()->Submit([this] { DrainLoop(); });
@@ -128,7 +165,25 @@ void ClusterServer::DrainLoop() {
   std::vector<RecRequest> requests;
   BatchShardScratch scratch;
   for (;;) {
-    admission_.PopBatch(options_.max_batch, obs::NowNs(), &batch, &shed);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      // Read the drain clock and pop under mu_: Submit stamps a ticket
+      // before it takes mu_ and pushes it under mu_, so every ticket this
+      // pop judges was stamped before `now` — none can look younger than
+      // it is and dodge its deadline.
+      admission_.PopBatch(options_.max_batch, obs::NowNs(), &batch, &shed);
+      if (batch.empty() && shed.empty()) {
+        // The queue is empty, and pushes happen under mu_: a Submit that
+        // saw this drainer as active (and so did not dispatch a new one)
+        // pushed before this pop, or sees the decrement and dispatches a
+        // replacement. Retire.
+        --active_drainers_;
+        if (active_drainers_ == 0) drained_cv_.notify_all();
+        return;
+      }
+      max_batch_size_ = std::max<int64_t>(
+          max_batch_size_, static_cast<int64_t>(batch.size()));
+    }
     for (AdmissionTicket& ticket : shed) {
       Shed(std::move(ticket), ClusterStatus::kShedDeadline);
     }
@@ -136,19 +191,7 @@ void ClusterServer::DrainLoop() {
       queue_depth_[c]->Set(static_cast<double>(
           admission_.Depth(static_cast<RequestClass>(c))));
     }
-    if (batch.empty()) {
-      if (!shed.empty()) continue;  // the pass did work; look again
-      std::lock_guard<std::mutex> lock(mu_);
-      // Retire — but re-check depth under the server lock first: a
-      // Submit that saw this drainer as active (and so did not dispatch
-      // a new one) must not strand its ticket. Pushes happen under mu_,
-      // so either the push is visible here (we keep draining) or the
-      // pusher saw our decrement and dispatched a replacement.
-      if (admission_.TotalDepth() > 0) continue;
-      --active_drainers_;
-      if (active_drainers_ == 0) drained_cv_.notify_all();
-      return;
-    }
+    if (batch.empty()) continue;  // the pass only shed; look again
 
     // One snapshot acquire per pass: the whole batch scores on a single
     // consistent version while the registry refcount keeps it alive.
@@ -170,11 +213,19 @@ void ClusterServer::DrainLoop() {
       const double latency_ms =
           static_cast<double>(now_ns - batch[i].enqueued_ns) * 1e-6;
       latency_ms_[c]->Record(latency_ms);
+      latency_ms_all_->Record(latency_ms);
       served_[c]->Add(1);
+      if (results[i].cold_start) cold_start_served_[c]->Add(1);
+    }
+    batches_->Add(1);
+    // Fulfil promises after bookkeeping so stats() observed by a woken
+    // caller already include its own request.
+    for (size_t i = 0; i < batch.size(); ++i) {
       ClusterResponse response;
       response.rec = results[i];
       response.snapshot_version = version;
-      response.latency_ms = latency_ms;
+      response.latency_ms =
+          static_cast<double>(now_ns - batch[i].enqueued_ns) * 1e-6;
       batch[i].promise.set_value(std::move(response));
     }
   }
@@ -191,6 +242,28 @@ bool ClusterServer::TryReserveDrainerLocked(int queued) {
 int ClusterServer::active_drainers() const {
   std::lock_guard<std::mutex> lock(mu_);
   return active_drainers_;
+}
+
+ServerStats ClusterServer::stats() const {
+  ServerStats out;
+  for (int c = 0; c < kNumRequestClasses; ++c) {
+    out.requests_submitted += submitted_[c]->Value();
+    out.requests_served += served_[c]->Value();
+    out.cold_start_served += cold_start_served_[c]->Value();
+  }
+  out.batches = batches_->Value();
+  out.total_latency_ms = latency_ms_all_->Sum();
+  out.max_latency_ms = latency_ms_all_->Max();
+  out.p50_latency_ms = latency_ms_all_->Quantile(0.50);
+  out.p95_latency_ms = latency_ms_all_->Quantile(0.95);
+  out.p99_latency_ms = latency_ms_all_->Quantile(0.99);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    out.max_queue_depth = max_queue_depth_;
+    out.max_batch_size = max_batch_size_;
+  }
+  out.wall_seconds = uptime_.ElapsedSeconds();
+  return out;
 }
 
 }  // namespace cluster

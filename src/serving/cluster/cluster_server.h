@@ -7,28 +7,63 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <string>
 
 #include "obs/metrics.h"
 #include "serving/cluster/admission.h"
 #include "serving/cluster/snapshot_registry.h"
+#include "util/stopwatch.h"
 #include "util/thread_annotations.h"
 
 namespace nmcdr {
 namespace cluster {
 
-/// The cluster serving front end: admission control in front, the
-/// RCU-published ShardedSnapshot behind. Like InferenceServer it owns no
-/// threads — up to `num_threads` drainer tasks run on
-/// ThreadPool::Shared(), each pass popping up to `max_batch` admitted
-/// tickets (interactive first), acquiring the current snapshot version
-/// ONCE, and scoring the whole batch on it. A snapshot published
-/// mid-batch is picked up by the next pass; in-flight batches finish on
-/// the version they acquired — that, plus the registry's refcounting, is
-/// the zero-downtime swap (bench_cluster demonstrates it under load).
+/// Aggregate serving statistics, scraped from the server's metrics
+/// registry by ClusterServer::stats() and summed over the request
+/// classes. Latencies are measured enqueue-to-response over served (kOk)
+/// requests; quantiles come from the all-class cluster.latency_ms
+/// histogram (obs/metrics.h), so p50/p95/p99 are bucket-interpolated
+/// estimates while every count, the sum and the max are exact.
+struct ServerStats {
+  int64_t requests_submitted = 0;
+  int64_t requests_served = 0;
+  int64_t cold_start_served = 0;
+  int64_t batches = 0;
+  int64_t max_queue_depth = 0;
+  int64_t max_batch_size = 0;
+  double total_latency_ms = 0.0;
+  double max_latency_ms = 0.0;
+  double p50_latency_ms = 0.0;
+  double p95_latency_ms = 0.0;
+  double p99_latency_ms = 0.0;
+  /// Seconds since the server started (filled when stats() is taken).
+  double wall_seconds = 0.0;
+
+  double MeanLatencyMs() const;
+  double MeanBatchSize() const;
+  /// Served requests per wall-clock second since start.
+  double ThroughputPerSec() const;
+
+  /// Human-readable one-per-line dump for demos and logs.
+  std::string ToString() const;
+};
+
+/// The request server: admission control in front, the RCU-published
+/// ShardedSnapshot behind. A one-shard layout (ShardLayout::Uniform(
+/// snapshot, 1)) is the monolithic case, bit-exact against
+/// ScoreEngine::TopK. The server owns no threads — up to `num_threads`
+/// drainer tasks run on ThreadPool::Shared(), each pass popping up to
+/// `max_batch` admitted tickets (interactive first), acquiring the
+/// current snapshot version ONCE, and scoring the whole batch on it. A
+/// snapshot published mid-batch is picked up by the next pass; in-flight
+/// batches finish on the version they acquired — that, plus the
+/// registry's refcounting, is the zero-downtime swap (bench_cluster
+/// demonstrates it under load).
 ///
-/// Invariant (same as InferenceServer): whenever the admission queue is
-/// non-empty, a drainer is active or being dispatched; Stop() returns
-/// only once the queue is drained and every drainer has retired.
+/// Invariant: whenever the admission queue is non-empty, a drainer is
+/// active or being dispatched; Stop() returns only once the queue is
+/// drained and every drainer has retired — nothing is left running on
+/// the shared pool afterwards.
 ///
 /// Shedding is part of the contract, not an error path: a Submit against
 /// a full class queue resolves its future immediately with
@@ -36,9 +71,13 @@ namespace cluster {
 /// past capacity), and tickets that outlived their class deadline in
 /// queue resolve with kShedDeadline at drain time. All shed/served
 /// counts are recorded per class in the metrics registry
-/// (cluster.{submitted,served,shed_queue_full,shed_deadline}.<class>,
-/// cluster.latency_ms.<class>, cluster.queue_depth.<class>) —
-/// unconditionally, like InferenceServer's accounting.
+/// (cluster.{submitted,served,cold_start_served,shed_queue_full,
+/// shed_deadline}.<class>, cluster.latency_ms.<class>,
+/// cluster.queue_depth.<class>), next to the all-class cluster.batches
+/// counter and cluster.latency_ms histogram. Accounting is recorded
+/// unconditionally — the traffic counts are part of the server's
+/// contract (tests assert exact values), so the obs enable flags do not
+/// apply here.
 class ClusterServer {
  public:
   struct Options {
@@ -81,6 +120,13 @@ class ClusterServer {
 
   int active_drainers() const NMCDR_EXCLUDES(mu_);
 
+  /// Scrapes the registry into a ServerStats. Each field is individually
+  /// exact; a scrape racing in-flight drainers may observe a request in
+  /// one field but not yet another. After every submitted future has
+  /// resolved the snapshot is fully consistent: drainers finish all
+  /// bookkeeping before fulfilling promises.
+  ServerStats stats() const NMCDR_EXCLUDES(mu_);
+
   /// Highest snapshot version any completed batch has observed
   /// (monotone — asserted under TSan in cluster_test).
   int64_t last_observed_version() const {
@@ -99,12 +145,13 @@ class ClusterServer {
   void Shed(AdmissionTicket&& ticket, ClusterStatus status);
 
   /// Reserves a drainer slot when `queued` admitted tickets justify one
-  /// (same invariant as InferenceServer). Returns true when the caller
-  /// must dispatch a DrainLoop task — after releasing mu_, never under
-  /// it.
+  /// (the non-empty-queue-has-a-drainer invariant, plus extra
+  /// parallelism up to num_threads). Returns true when the caller must
+  /// dispatch a DrainLoop task — after releasing mu_, never under it.
   bool TryReserveDrainerLocked(int queued) NMCDR_REQUIRES(mu_);
 
   Options options_;
+  Stopwatch uptime_;
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
   obs::MetricsRegistry* metrics_;  // owned_metrics_ or Options::metrics
   SnapshotRegistry registry_;
@@ -113,19 +160,26 @@ class ClusterServer {
   // Resolved once in the constructor, indexed by RequestClass.
   obs::Counter* submitted_[kNumRequestClasses];
   obs::Counter* served_[kNumRequestClasses];
+  obs::Counter* cold_start_served_[kNumRequestClasses];
   obs::Counter* shed_queue_full_[kNumRequestClasses];
   obs::Counter* shed_deadline_[kNumRequestClasses];
   obs::Counter* stopped_rejects_;
   obs::Gauge* queue_depth_[kNumRequestClasses];
   obs::Histogram* latency_ms_[kNumRequestClasses];
+  /// All-class latency: histograms have no merge, so the stats()
+  /// quantiles need their own.
+  obs::Histogram* latency_ms_all_;
+  obs::Counter* batches_;
 
   std::atomic<int64_t> last_observed_version_{0};
 
   mutable std::mutex mu_;
   /// Signalled when a drainer retires (Stop waits on it).
   std::condition_variable drained_cv_;
-  int active_drainers_ = 0;  // GUARDED_BY(mu_)
-  bool stopping_ = false;    // GUARDED_BY(mu_)
+  int active_drainers_ = 0;      // GUARDED_BY(mu_)
+  bool stopping_ = false;        // GUARDED_BY(mu_)
+  int64_t max_queue_depth_ = 0;  // GUARDED_BY(mu_)
+  int64_t max_batch_size_ = 0;   // GUARDED_BY(mu_)
 };
 
 }  // namespace cluster

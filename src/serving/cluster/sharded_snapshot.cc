@@ -34,6 +34,18 @@ Matrix CopyRowRange(const Matrix& source, int begin, int end) {
   return out;
 }
 
+/// Rows [begin, end) of `source`, codes and per-row parameters alike.
+QuantizedRows SliceRows(const QuantizedRows& source, int begin, int end) {
+  QuantizedRows out;
+  out.rows = end - begin;
+  out.cols = source.cols;
+  out.q.assign(source.row(begin), source.row(end));
+  out.scale.assign(source.scale.begin() + begin, source.scale.begin() + end);
+  out.zero.assign(source.zero.begin() + begin, source.zero.begin() + end);
+  out.qsum.assign(source.qsum.begin() + begin, source.qsum.begin() + end);
+  return out;
+}
+
 }  // namespace
 
 void ShardScratch::Prepare(int num_items, int item_block, int head_width,
@@ -69,11 +81,30 @@ void BatchShardScratch::Prepare(size_t n) {
 
 ShardedSnapshot::ShardedSnapshot(const ModelSnapshot& snapshot,
                                  const ShardLayout& layout, Options options)
+    : ShardedSnapshot(snapshot, layout, options, nullptr) {}
+
+ShardedSnapshot::ShardedSnapshot(const ModelSnapshot& snapshot,
+                                 const ShardLayout& layout, Options options,
+                                 const QuantizedSnapshot& quantized)
+    : ShardedSnapshot(snapshot, layout, options, &quantized) {}
+
+ShardedSnapshot::ShardedSnapshot(const ModelSnapshot& snapshot,
+                                 const ShardLayout& layout, Options options,
+                                 const QuantizedSnapshot* quantized)
     : layout_(layout), options_(options) {
   std::string error;
   if (!layout.Validate(snapshot, &error)) {
     LOG_ERROR << "ShardedSnapshot: " << error;
     NMCDR_CHECK(false);
+  }
+  if (quantized != nullptr) {
+    NMCDR_CHECK(options_.mode == ScoreEngine::Mode::kQuantized);
+    if (!quantized->Matches(snapshot, &error)) {
+      LOG_ERROR << "ShardedSnapshot: quantized tables do not fit the "
+                   "snapshot: "
+                << error;
+      NMCDR_CHECK(false);
+    }
   }
   NMCDR_CHECK_GT(snapshot.num_domains(), 0);
   NMCDR_CHECK_GT(options_.item_block, 0);
@@ -95,22 +126,30 @@ ShardedSnapshot::ShardedSnapshot(const ModelSnapshot& snapshot,
       DomainShard shard;
       shard.user_begin = splits.user_splits[s];
       shard.item_begin = splits.item_splits[s];
+      const int item_end = splits.item_splits[s + 1];
       shard.user_rows = CopyRowRange(source.frozen.user_reps,
                                      splits.user_splits[s],
                                      splits.user_splits[s + 1]);
-      Matrix item_rows = CopyRowRange(source.frozen.item_reps,
-                                      splits.item_splits[s],
-                                      splits.item_splits[s + 1]);
-      if (options_.mode == ScoreEngine::Mode::kQuantized) {
+      if (quantized != nullptr) {
+        // The artifact's rows for this slice: the same codes per-slice
+        // quantization below would produce (row-independence).
+        const QuantizedDomain& qd = quantized->domain(d);
+        shard.item_first_q =
+            SliceRows(qd.item_first, shard.item_begin, item_end);
+        shard.item_gmf_q = SliceRows(qd.item_gmf, shard.item_begin, item_end);
+      } else if (options_.mode == ScoreEngine::Mode::kQuantized) {
         // Quantize-at-freeze, slice-by-slice: identical rows as the
         // monolithic QuantizedSnapshot::Quantize tables (BuildItemFirst
         // and per-row quantization are both row-independent). The float
         // item slice is NOT kept — the quantized tables replace it.
+        const Matrix item_rows =
+            CopyRowRange(source.frozen.item_reps, shard.item_begin, item_end);
         shard.item_first_q = QuantizeRows(
             scoring::BuildItemFirst(domain.head, item_rows));
         shard.item_gmf_q = QuantizeRows(item_rows);
       } else {
-        shard.item_rows = std::move(item_rows);
+        shard.item_rows =
+            CopyRowRange(source.frozen.item_reps, shard.item_begin, item_end);
         if (options_.mode == ScoreEngine::Mode::kFast) {
           // Identical rows as the monolithic precompute (MatMul is row-
           // independent), just computed slice-by-slice.

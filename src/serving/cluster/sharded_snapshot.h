@@ -92,6 +92,14 @@ class ShardedSnapshot {
   ShardedSnapshot(const ModelSnapshot& snapshot, const ShardLayout& layout)
       : ShardedSnapshot(snapshot, layout, Options()) {}
 
+  /// Serves a prebuilt quantized artifact (typically QuantizedSnapshot::
+  /// Load of the file written at freeze time): each shard takes its row
+  /// slices of `quantized` instead of re-quantizing — bit-identical shards,
+  /// because quantization is row-independent. Requires options.mode ==
+  /// kQuantized and quantized.Matches(snapshot) (checked).
+  ShardedSnapshot(const ModelSnapshot& snapshot, const ShardLayout& layout,
+                  Options options, const QuantizedSnapshot& quantized);
+
   int num_shards() const { return layout_.num_shards; }
   int num_domains() const { return static_cast<int>(domains_.size()); }
   int num_users(int d) const { return domains_[d].num_users; }
@@ -170,6 +178,11 @@ class ShardedSnapshot {
     const float* row = nullptr;  // user representation, dim floats
     bool cold_start = false;
   };
+
+  /// Both public constructors: `quantized` is the artifact to slice, or
+  /// nullptr to quantize each slice at construction.
+  ShardedSnapshot(const ModelSnapshot& snapshot, const ShardLayout& layout,
+                  Options options, const QuantizedSnapshot* quantized);
 
   /// Mirrors ModelSnapshot::ResolveUser + ScoreEngine::Resolve over the
   /// sharded tables (the owning shard is found through the layout).

@@ -70,10 +70,6 @@ void ScoreScratch::Prepare(int num_items, int item_block, int head_width,
   }
 }
 
-void BatchScoreScratch::Prepare(size_t n) {
-  if (per_request.size() < n) per_request.resize(n);
-}
-
 ScoreEngine::ScoreEngine(const ModelSnapshot* snapshot, Options options)
     : snapshot_(snapshot), options_(options) {
   NMCDR_CHECK(snapshot != nullptr);
@@ -305,25 +301,17 @@ Recommendation ScoreEngine::TopKWithScratch(const RecRequest& request,
 std::vector<Recommendation> ScoreEngine::TopKBatch(
     const std::vector<RecRequest>& requests) const {
   for (const RecRequest& request : requests) ValidateRequest(request);
-  BatchScoreScratch scratch;
-  return TopKBatchWithScratch(requests, &scratch);
-}
-
-std::vector<Recommendation> ScoreEngine::TopKBatchWithScratch(
-    const std::vector<RecRequest>& requests,
-    BatchScoreScratch* scratch) const {
   // Requests are independent, so the batch fans out across the shared
-  // pool (grain 1: one request is already a full-catalog scan). Request i
-  // always uses scratch slot i, so concurrent chunks touch disjoint
-  // buffers and the output is identical to the serial loop.
-  scratch->Prepare(requests.size());
-  // NMCDR_LINT_ALLOW(hot-alloc): output materialization, one per batch.
+  // pool (grain 1: one request is already a full-catalog scan). Each
+  // request writes only its own output slot, so the result is identical
+  // to the serial loop.
   std::vector<Recommendation> out(requests.size());
   ThreadPool::Shared()->ParallelFor(
       0, static_cast<int64_t>(requests.size()), /*grain=*/1,
       [&](int64_t begin, int64_t end) {
+        ScoreScratch scratch;
         for (int64_t i = begin; i < end; ++i) {
-          out[i] = TopKWithScratch(requests[i], &scratch->per_request[i]);
+          out[i] = TopKWithScratch(requests[i], &scratch);
         }
       });
   return out;

@@ -62,17 +62,6 @@ struct ScoreScratch {
                int dim = 0) NMCDR_COLD;
 };
 
-/// Per-batch scratch for TopKWithScratch fan-out: request i always uses
-/// slot i, so concurrent chunks touch disjoint slots (race-free) and the
-/// result never depends on the pool schedule. Slots persist at their
-/// high-water geometry across batches.
-struct BatchScoreScratch {
-  std::vector<ScoreScratch> per_request;
-
-  /// Grows the slot vector to `n` slots.
-  void Prepare(size_t n) NMCDR_COLD;
-};
-
 /// The ranking order shared by the engine's heap and any brute-force
 /// reference: higher score first, smaller item id on ties. A total order,
 /// so top-K selection agrees exactly with a full sort.
@@ -156,22 +145,15 @@ class ScoreEngine {
   /// Results are positionally aligned with `requests` and identical to
   /// calling TopK per request (requests are independent and TopK is
   /// deterministic). Validates every request, then runs the scratch core
-  /// over a local BatchScoreScratch.
+  /// with one ScoreScratch per pool chunk.
   std::vector<Recommendation> TopKBatch(
       const std::vector<RecRequest>& requests) const;
 
-  /// Batch core for drainers holding reusable scratch. The output vector
-  /// is the one per-batch materialization
-  /// (NMCDR_LINT_ALLOW'd in the implementation).
-  std::vector<Recommendation> TopKBatchWithScratch(
-      const std::vector<RecRequest>& requests,
-      BatchScoreScratch* scratch) const NMCDR_HOT;
-
   /// Aborts (NMCDR_CHECK) unless `request` is well-formed against this
   /// engine's snapshot: domains in range, user in range for its domain,
-  /// k positive, every excluded item in the target catalog. Serving edges
-  /// (InferenceServer::Submit, the TopK/TopKBatch wrappers) call this so
-  /// the hot core can run on NMCDR_DCHECKs alone.
+  /// k positive, every excluded item in the target catalog. The TopK/
+  /// TopKBatch wrappers call this so the hot core can run on
+  /// NMCDR_DCHECKs alone.
   void ValidateRequest(const RecRequest& request) const;
 
   /// Monotonic usage counters (atomics snapshot).

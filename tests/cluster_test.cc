@@ -2,9 +2,11 @@
 // ShardLayout round-trips, sharded-vs-monolithic top-K bit-exactness,
 // RCU snapshot publishing (including the concurrent 100-version
 // hot-swap run that the TSan CI job exercises), admission control, and
-// the ClusterServer end to end.
+// the ClusterServer end to end, including its exact-count stats()
+// contract on the one-shard (monolithic) configuration.
 
 #include <algorithm>
+#include <chrono>
 #include <future>
 #include <memory>
 #include <string>
@@ -21,6 +23,7 @@
 #include "serving/cluster/sharded_snapshot.h"
 #include "serving/cluster/snapshot_registry.h"
 #include "serving/model_snapshot.h"
+#include "serving/quantized_snapshot.h"
 #include "serving/score_engine.h"
 #include "tests/test_util.h"
 
@@ -233,6 +236,31 @@ TEST(ShardedSnapshotTest, KLargerThanCatalogReturnsEverything) {
             snapshot.domain(0).num_items());
 }
 
+TEST(ShardedSnapshotTest, SlicingReloadedQuantizedArtifactMatchesQuantizing) {
+  const ModelSnapshot& snapshot = Pair().snapshot;
+  const std::string path = TempPath("cluster_slicing.quant");
+  ASSERT_TRUE(QuantizedSnapshot::Quantize(snapshot).Save(path));
+  QuantizedSnapshot reloaded;
+  std::string error;
+  ASSERT_TRUE(QuantizedSnapshot::Load(path, &reloaded, &error)) << error;
+
+  ShardedSnapshot::Options options;
+  options.mode = ScoreEngine::Mode::kQuantized;
+  const std::vector<RecRequest> requests = MixedRequests(snapshot, 5);
+  const ScoreEngine engine(&snapshot, {ScoreEngine::Mode::kQuantized, 256});
+  const std::vector<Recommendation> expected = engine.TopKBatch(requests);
+  for (int shards : {1, 2, 4, 7}) {
+    const ShardLayout layout = ShardLayout::Uniform(snapshot, shards);
+    // Slices of the reloaded artifact vs per-slice quantize-at-
+    // construction: row-independent quantization makes them the same
+    // shards, so both serve the monolithic quantized engine's bits.
+    const ShardedSnapshot sliced(snapshot, layout, options, reloaded);
+    const ShardedSnapshot quantizing(snapshot, layout, options);
+    ExpectSameRecommendations(expected, sliced.TopKBatch(requests));
+    ExpectSameRecommendations(expected, quantizing.TopKBatch(requests));
+  }
+}
+
 TEST(SyntheticSnapshotTest, StructurallyValidAndServable) {
   SyntheticSnapshotSpec spec;
   spec.num_domains = 3;
@@ -373,42 +401,231 @@ std::shared_ptr<const ShardedSnapshot> MakeSharded(const ModelSnapshot& source,
       source, ShardLayout::Uniform(source, shards));
 }
 
+/// Same-domain requests alternating over both domains.
+ClusterRequest SameDomainRequest(const ModelSnapshot& snapshot, int i,
+                                 int k) {
+  ClusterRequest request;
+  request.rec.target_domain = request.rec.user_domain = i % 2;
+  request.rec.user = i % snapshot.domain(i % 2).num_users();
+  request.rec.k = k;
+  return request;
+}
+
 TEST(ClusterServerTest, ServesBitExactResponses) {
   const ModelSnapshot& snapshot = Pair().snapshot;
   const std::vector<RecRequest> requests = MixedRequests(snapshot, 5);
+  struct Config {
+    ScoreEngine::Mode mode;
+    int shards;
+  };
+  // The sharded kFast cluster, then the one-shard (monolithic) server in
+  // every scoring mode, each against the engine of the same mode.
+  for (const Config& config : {Config{ScoreEngine::Mode::kFast, 3},
+                               Config{ScoreEngine::Mode::kExact, 1},
+                               Config{ScoreEngine::Mode::kFast, 1},
+                               Config{ScoreEngine::Mode::kQuantized, 1}}) {
+    SCOPED_TRACE("mode " + std::to_string(static_cast<int>(config.mode)) +
+                 ", " + std::to_string(config.shards) + " shards");
+    const ScoreEngine engine(&snapshot, {config.mode, 256});
+    const std::vector<Recommendation> expected = engine.TopKBatch(requests);
+
+    ShardedSnapshot::Options sharded_options;
+    sharded_options.mode = config.mode;
+    ClusterServer::Options options;
+    options.num_threads = 3;
+    options.max_batch = 4;
+    ClusterServer server(
+        std::make_shared<const ShardedSnapshot>(
+            snapshot, ShardLayout::Uniform(snapshot, config.shards),
+            sharded_options),
+        options);
+    std::vector<std::future<ClusterResponse>> futures;
+    for (size_t i = 0; i < requests.size(); ++i) {
+      ClusterRequest request;
+      request.rec = requests[i];
+      request.cls =
+          i % 3 == 0 ? RequestClass::kBatch : RequestClass::kInteractive;
+      futures.push_back(server.Submit(std::move(request)));
+    }
+    std::vector<Recommendation> served;
+    for (auto& future : futures) {
+      ClusterResponse response = future.get();
+      ASSERT_EQ(response.status, ClusterStatus::kOk);
+      EXPECT_EQ(response.snapshot_version, 1);
+      EXPECT_GE(response.latency_ms, 0.0);
+      served.push_back(std::move(response.rec));
+    }
+    ExpectSameRecommendations(expected, served);
+    server.Stop();
+    EXPECT_EQ(server.active_drainers(), 0);
+    EXPECT_EQ(server.last_observed_version(), 1);
+
+    obs::MetricsRegistry& metrics = server.metrics_registry();
+    const int64_t served_count =
+        metrics.GetCounter("cluster.served.interactive").Value() +
+        metrics.GetCounter("cluster.served.batch").Value();
+    EXPECT_EQ(served_count, static_cast<int64_t>(requests.size()));
+  }
+}
+
+TEST(ClusterServerTest, StatsCountsAreExact) {
+  const ModelSnapshot& snapshot = Pair().snapshot;
+  const std::vector<RecRequest> requests = MixedRequests(snapshot, 4);
   const ScoreEngine engine(&snapshot);
-  const std::vector<Recommendation> expected = engine.TopKBatch(requests);
+  int64_t cold = 0;
+  for (const Recommendation& rec : engine.TopKBatch(requests)) {
+    if (rec.cold_start) ++cold;
+  }
+  ASSERT_GT(cold, 0);  // the mix exercises the cold-start path
 
   ClusterServer::Options options;
-  options.num_threads = 3;
+  options.num_threads = 4;
   options.max_batch = 4;
-  ClusterServer server(MakeSharded(snapshot, 3), options);
+  ClusterServer server(MakeSharded(snapshot, 1), options);
   std::vector<std::future<ClusterResponse>> futures;
   for (size_t i = 0; i < requests.size(); ++i) {
     ClusterRequest request;
     request.rec = requests[i];
     request.cls =
-        i % 3 == 0 ? RequestClass::kBatch : RequestClass::kInteractive;
+        i % 2 == 0 ? RequestClass::kInteractive : RequestClass::kBatch;
     futures.push_back(server.Submit(std::move(request)));
   }
-  std::vector<Recommendation> served;
   for (auto& future : futures) {
-    ClusterResponse response = future.get();
-    ASSERT_EQ(response.status, ClusterStatus::kOk);
-    EXPECT_EQ(response.snapshot_version, 1);
-    EXPECT_GE(response.latency_ms, 0.0);
-    served.push_back(std::move(response.rec));
+    ASSERT_EQ(future.get().status, ClusterStatus::kOk);
   }
-  ExpectSameRecommendations(expected, served);
+  server.Stop();
+
+  const int64_t n = static_cast<int64_t>(requests.size());
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.requests_submitted, n);
+  EXPECT_EQ(stats.requests_served, n);
+  EXPECT_EQ(stats.cold_start_served, cold);
+  EXPECT_GE(stats.batches, (n + 3) / 4);  // max_batch caps every pass at 4
+  EXPECT_LE(stats.batches, n);
+  EXPECT_GE(stats.max_batch_size, 1);
+  EXPECT_LE(stats.max_batch_size, 4);
+  EXPECT_GE(stats.max_queue_depth, 1);
+  EXPECT_LE(stats.max_queue_depth, n);
+  EXPECT_GE(stats.max_latency_ms, stats.MeanLatencyMs());
+  EXPECT_GT(stats.wall_seconds, 0.0);
+  EXPECT_FALSE(stats.ToString().empty());
+}
+
+TEST(ClusterServerTest, StopDrainsQueueAndLeavesNoActiveDrainers) {
+  const ModelSnapshot& snapshot = Pair().snapshot;
+  ClusterServer::Options options;
+  options.num_threads = 3;
+  options.max_batch = 2;
+  ClusterServer server(MakeSharded(snapshot, 1), options);
+
+  // Burst-submit, then stop immediately: Stop() must block until every
+  // queued request has been served through the shared pool — no work is
+  // dropped and no drainer task outlives the server.
+  std::vector<std::future<ClusterResponse>> futures;
+  for (int i = 0; i < 32; ++i) {
+    futures.push_back(server.Submit(SameDomainRequest(snapshot, i, 4)));
+  }
   server.Stop();
   EXPECT_EQ(server.active_drainers(), 0);
-  EXPECT_EQ(server.last_observed_version(), 1);
 
-  obs::MetricsRegistry& metrics = server.metrics_registry();
-  const int64_t served_count =
-      metrics.GetCounter("cluster.served.interactive").Value() +
-      metrics.GetCounter("cluster.served.batch").Value();
-  EXPECT_EQ(served_count, static_cast<int64_t>(requests.size()));
+  for (std::future<ClusterResponse>& future : futures) {
+    EXPECT_EQ(future.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    const ClusterResponse response = future.get();
+    EXPECT_EQ(response.status, ClusterStatus::kOk);
+    EXPECT_FALSE(response.rec.items.empty());
+  }
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.requests_submitted, 32);
+  EXPECT_EQ(stats.requests_served, 32);
+}
+
+TEST(ClusterServerTest, LatencyQuantilesAreMonotoneUnderLoad) {
+  const ModelSnapshot& snapshot = Pair().snapshot;
+  ClusterServer::Options options;
+  options.num_threads = 4;
+  options.max_batch = 4;
+  ClusterServer server(MakeSharded(snapshot, 1), options);
+
+  std::vector<std::future<ClusterResponse>> futures;
+  for (int i = 0; i < 128; ++i) {
+    futures.push_back(server.Submit(SameDomainRequest(snapshot, i, 5)));
+  }
+  for (std::future<ClusterResponse>& future : futures) future.get();
+  server.Stop();
+
+  const ServerStats stats = server.stats();
+  // Quantiles come from the all-class cluster.latency_ms histogram; they
+  // are bucket-interpolated estimates but must be monotone and bounded by
+  // the observed extremes.
+  EXPECT_GT(stats.p50_latency_ms, 0.0);
+  EXPECT_LE(stats.p50_latency_ms, stats.p95_latency_ms);
+  EXPECT_LE(stats.p95_latency_ms, stats.p99_latency_ms);
+  EXPECT_LE(stats.p99_latency_ms, stats.max_latency_ms);
+  const std::string text = stats.ToString();
+  EXPECT_NE(text.find("p50"), std::string::npos) << text;
+  EXPECT_NE(text.find("p99"), std::string::npos) << text;
+}
+
+TEST(ClusterServerTest, CountersAreMonotoneAcrossConcurrentScrapes) {
+  const ModelSnapshot& snapshot = Pair().snapshot;
+  ClusterServer::Options options;
+  options.num_threads = 3;
+  options.max_batch = 4;
+  ClusterServer server(MakeSharded(snapshot, 1), options);
+
+  // Scrape stats() while requests are in flight: every counter must be
+  // non-decreasing from one scrape to the next, and served never
+  // overtakes submitted.
+  int64_t last_submitted = 0;
+  int64_t last_served = 0;
+  int64_t last_batches = 0;
+  std::vector<std::future<ClusterResponse>> futures;
+  for (int round = 0; round < 8; ++round) {
+    for (int i = 0; i < 16; ++i) {
+      futures.push_back(
+          server.Submit(SameDomainRequest(snapshot, round * 16 + i, 4)));
+    }
+    const ServerStats stats = server.stats();
+    EXPECT_GE(stats.requests_submitted, last_submitted);
+    EXPECT_GE(stats.requests_served, last_served);
+    EXPECT_GE(stats.batches, last_batches);
+    EXPECT_LE(stats.requests_served, stats.requests_submitted);
+    last_submitted = stats.requests_submitted;
+    last_served = stats.requests_served;
+    last_batches = stats.batches;
+  }
+  for (std::future<ClusterResponse>& future : futures) future.get();
+  server.Stop();
+
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.requests_submitted, 128);
+  EXPECT_EQ(stats.requests_served, 128);
+  EXPECT_GE(stats.requests_submitted, last_submitted);
+}
+
+TEST(ClusterServerTest, SharedRegistryReceivesServingMetrics) {
+  const ModelSnapshot& snapshot = Pair().snapshot;
+  obs::MetricsRegistry registry;
+  ClusterServer::Options options;
+  options.num_threads = 2;
+  options.metrics = &registry;
+  ClusterServer server(MakeSharded(snapshot, 1), options);
+  server.Submit(SameDomainRequest(snapshot, 0, 4)).get();
+  server.Submit(SameDomainRequest(snapshot, 1, 4)).get();
+  server.Stop();
+  EXPECT_EQ(registry.GetCounter("cluster.submitted.interactive").Value(), 2);
+  EXPECT_EQ(registry.GetCounter("cluster.served.interactive").Value(), 2);
+  EXPECT_EQ(registry.GetCounter("cluster.batches").Value(), 2);
+  for (const char* name :
+       {"cluster.latency_ms", "cluster.latency_ms.interactive"}) {
+    EXPECT_EQ(registry
+                  .GetHistogram(name,
+                                obs::MetricsRegistry::DefaultLatencyBucketsMs())
+                  .Count(),
+              2)
+        << name;
+  }
 }
 
 TEST(ClusterServerTest, SubmitAfterStopResolvesStopped) {
@@ -422,6 +639,23 @@ TEST(ClusterServerTest, SubmitAfterStopResolvesStopped) {
   EXPECT_EQ(
       server.metrics_registry().GetCounter("cluster.stopped_rejects").Value(),
       1);
+}
+
+TEST(ClusterServerTest, StopIsIdempotentAndFailsLateSubmits) {
+  const ModelSnapshot& snapshot = Pair().snapshot;
+  ClusterServer server(MakeSharded(snapshot, 1), ClusterServer::Options());
+  EXPECT_EQ(server.Submit(SameDomainRequest(snapshot, 0, 2)).get().status,
+            ClusterStatus::kOk);
+  server.Stop();
+  server.Stop();  // second stop is a no-op
+  ClusterRequest request;
+  request.rec.user = 1;
+  request.rec.k = 2;
+  EXPECT_EQ(server.Submit(std::move(request)).get().status,
+            ClusterStatus::kStopped);
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.requests_served, 1);
+  EXPECT_EQ(stats.requests_submitted, 1);  // the late submit never queued
 }
 
 TEST(ClusterServerTest, NanosecondDeadlineShedsEveryQueuedRequest) {

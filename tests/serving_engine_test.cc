@@ -1,10 +1,8 @@
 #include "serving/score_engine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <fstream>
-#include <future>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -13,9 +11,7 @@
 
 #include "core/multi_domain_nmcdr.h"
 #include "core/nmcdr_model.h"
-#include "obs/metrics.h"
 #include "serving/ab_test.h"
-#include "serving/inference_server.h"
 #include "serving/model_snapshot.h"
 #include "tests/test_util.h"
 
@@ -395,204 +391,6 @@ TEST(ScoreEngineTest, MultiDomainTopKMatchesBruteForceOnEveryDomain) {
     const int person = world.PersonOfUser(0, u);
     EXPECT_EQ(snapshot.ResolveUser(0, u, 1), world.UserOfPerson(1, person));
   }
-}
-
-TEST(InferenceServerTest, ConcurrentResultsIdenticalToDirectEngine) {
-  PairFixture& f = Pair();
-  ScoreEngine engine(&f.snapshot, {ScoreEngine::Mode::kFast, 64});
-  InferenceServer::Options options;
-  options.num_threads = 4;
-  options.max_batch = 4;
-  InferenceServer server(&engine, options);
-
-  std::vector<RecRequest> requests;
-  for (int i = 0; i < 64; ++i) {
-    RecRequest request;
-    request.target_domain = i % 2;
-    request.user_domain = (i % 3 == 0) ? 1 - request.target_domain
-                                       : request.target_domain;
-    request.user = i % 12;
-    request.k = 3 + i % 5;
-    requests.push_back(request);
-  }
-  std::vector<std::future<Recommendation>> futures;
-  for (const RecRequest& request : requests) {
-    futures.push_back(server.Submit(request));
-  }
-  for (size_t i = 0; i < requests.size(); ++i) {
-    const Recommendation got = futures[i].get();
-    const Recommendation want = engine.TopK(requests[i]);
-    EXPECT_EQ(got.items, want.items) << "request " << i;
-    EXPECT_EQ(got.scores, want.scores) << "request " << i;
-    EXPECT_EQ(got.cold_start, want.cold_start) << "request " << i;
-  }
-  server.Stop();
-
-  const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.requests_submitted, 64);
-  EXPECT_EQ(stats.requests_served, 64);
-  EXPECT_GE(stats.batches, 16);  // max_batch caps every drain at 4
-  EXPECT_LE(stats.max_batch_size, 4);
-  EXPECT_GE(stats.max_latency_ms, stats.MeanLatencyMs());
-  EXPECT_GT(stats.wall_seconds, 0.0);
-  EXPECT_FALSE(stats.ToString().empty());
-}
-
-TEST(InferenceServerTest, RecommendBlocksAndMatchesTopK) {
-  PairFixture& f = Pair();
-  ScoreEngine engine(&f.snapshot, {ScoreEngine::Mode::kFast, 64});
-  InferenceServer server(&engine);
-  const Recommendation got = server.Recommend(1, 2, 6);
-  RecRequest request;
-  request.target_domain = request.user_domain = 1;
-  request.user = 2;
-  request.k = 6;
-  const Recommendation want = engine.TopK(request);
-  EXPECT_EQ(got.items, want.items);
-  EXPECT_EQ(got.scores, want.scores);
-}
-
-TEST(InferenceServerTest, StopDrainsQueueAndLeavesNoActiveDrainers) {
-  PairFixture& f = Pair();
-  ScoreEngine engine(&f.snapshot, {ScoreEngine::Mode::kFast, 64});
-  InferenceServer::Options options;
-  options.num_threads = 3;
-  options.max_batch = 2;
-  InferenceServer server(&engine, options);
-
-  // Burst-submit, then stop immediately: Stop() must block until every
-  // queued request has been served through the shared pool — no work is
-  // dropped and no drainer task outlives the server.
-  std::vector<std::future<Recommendation>> futures;
-  for (int i = 0; i < 32; ++i) {
-    RecRequest request;
-    request.target_domain = request.user_domain = i % 2;
-    request.user = i % 12;
-    request.k = 4;
-    futures.push_back(server.Submit(request));
-  }
-  server.Stop();
-  EXPECT_EQ(server.active_drainers(), 0);
-
-  for (std::future<Recommendation>& future : futures) {
-    EXPECT_EQ(future.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready);
-    EXPECT_FALSE(future.get().items.empty());
-  }
-  const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.requests_submitted, 32);
-  EXPECT_EQ(stats.requests_served, 32);
-}
-
-TEST(InferenceServerTest, LatencyQuantilesAreMonotoneUnderLoad) {
-  PairFixture& f = Pair();
-  ScoreEngine engine(&f.snapshot, {ScoreEngine::Mode::kFast, 64});
-  InferenceServer::Options options;
-  options.num_threads = 4;
-  options.max_batch = 4;
-  InferenceServer server(&engine, options);
-
-  std::vector<std::future<Recommendation>> futures;
-  for (int i = 0; i < 128; ++i) {
-    RecRequest request;
-    request.target_domain = request.user_domain = i % 2;
-    request.user = i % 12;
-    request.k = 5;
-    futures.push_back(server.Submit(request));
-  }
-  for (std::future<Recommendation>& future : futures) future.get();
-  server.Stop();
-
-  const ServerStats stats = server.stats();
-  // Quantiles come from the serving.latency_ms histogram; they are
-  // bucket-interpolated estimates but must be monotone and bounded by
-  // the observed extremes.
-  EXPECT_GT(stats.p50_latency_ms, 0.0);
-  EXPECT_LE(stats.p50_latency_ms, stats.p95_latency_ms);
-  EXPECT_LE(stats.p95_latency_ms, stats.p99_latency_ms);
-  EXPECT_LE(stats.p99_latency_ms, stats.max_latency_ms);
-  const std::string text = stats.ToString();
-  EXPECT_NE(text.find("p50"), std::string::npos) << text;
-  EXPECT_NE(text.find("p99"), std::string::npos) << text;
-}
-
-TEST(InferenceServerTest, CountersAreMonotoneAcrossConcurrentScrapes) {
-  PairFixture& f = Pair();
-  ScoreEngine engine(&f.snapshot, {ScoreEngine::Mode::kFast, 64});
-  InferenceServer::Options options;
-  options.num_threads = 3;
-  options.max_batch = 4;
-  InferenceServer server(&engine, options);
-
-  // Scrape stats() while requests are in flight: every counter must be
-  // non-decreasing from one scrape to the next, and served never
-  // overtakes submitted.
-  int64_t last_submitted = 0;
-  int64_t last_served = 0;
-  int64_t last_batches = 0;
-  std::vector<std::future<Recommendation>> futures;
-  for (int round = 0; round < 8; ++round) {
-    for (int i = 0; i < 16; ++i) {
-      RecRequest request;
-      request.target_domain = request.user_domain = i % 2;
-      request.user = (round * 16 + i) % 12;
-      request.k = 4;
-      futures.push_back(server.Submit(request));
-    }
-    const ServerStats stats = server.stats();
-    EXPECT_GE(stats.requests_submitted, last_submitted);
-    EXPECT_GE(stats.requests_served, last_served);
-    EXPECT_GE(stats.batches, last_batches);
-    EXPECT_LE(stats.requests_served, stats.requests_submitted);
-    last_submitted = stats.requests_submitted;
-    last_served = stats.requests_served;
-    last_batches = stats.batches;
-  }
-  for (std::future<Recommendation>& future : futures) future.get();
-  server.Stop();
-
-  const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.requests_submitted, 128);
-  EXPECT_EQ(stats.requests_served, 128);
-  EXPECT_GE(stats.requests_submitted, last_submitted);
-}
-
-TEST(InferenceServerTest, SharedRegistryReceivesServingMetrics) {
-  PairFixture& f = Pair();
-  ScoreEngine engine(&f.snapshot, {ScoreEngine::Mode::kFast, 64});
-  obs::MetricsRegistry registry;
-  InferenceServer::Options options;
-  options.num_threads = 2;
-  options.metrics = &registry;
-  InferenceServer server(&engine, options);
-  server.Recommend(0, 0, 4);
-  server.Recommend(1, 1, 4);
-  server.Stop();
-  EXPECT_EQ(registry.GetCounter("serving.requests_submitted").Value(), 2);
-  EXPECT_EQ(registry.GetCounter("serving.requests_served").Value(), 2);
-  EXPECT_EQ(
-      registry
-          .GetHistogram("serving.latency_ms",
-                        obs::MetricsRegistry::DefaultLatencyBucketsMs())
-          .Count(),
-      2);
-}
-
-TEST(InferenceServerTest, StopIsIdempotentAndFailsLateSubmits) {
-  PairFixture& f = Pair();
-  ScoreEngine engine(&f.snapshot, {ScoreEngine::Mode::kFast, 64});
-  InferenceServer server(&engine);
-  server.Recommend(0, 0, 2);
-  server.Stop();
-  server.Stop();  // second stop is a no-op
-  RecRequest request;
-  request.user = 1;
-  request.k = 2;
-  std::future<Recommendation> future = server.Submit(request);
-  EXPECT_THROW(future.get(), std::runtime_error);
-  const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.requests_served, 1);
-  EXPECT_EQ(stats.requests_submitted, 1);  // the late submit never queued
 }
 
 }  // namespace

@@ -1,16 +1,16 @@
 // nmcdr_serve — end-to-end serving demo: train NMCDR on a synthetic
 // two-domain scenario, freeze it into a snapshot file, reload the file,
-// and serve a concurrent request mix through the InferenceServer.
+// and serve a concurrent request mix through the ClusterServer.
 //
 //   nmcdr_serve [--scenario loan-fund] [--scale smoke|small|full]
 //               [--steps 600] [--dim 16] [--seed 7]
 //               [--snapshot model.snapshot] [--threads 4] [--batch 8]
 //               [--requests 400] [--k 10] [--mode exact|fast|quantized]
 //               [--backend serial|parallel]
-//               [--shards N] [--layout layout.json]
+//               [--shards 1] [--layout layout.json]
 //               [--metrics-out metrics.json] [--profile]
 //
-// The tool prints the engine's usage counters and the server's latency /
+// The tool prints the served/cold-start counts and the server's latency /
 // throughput stats, and leaves the snapshot file on disk so a later run
 // can be pointed at it (skipping training) with --load-only.
 //
@@ -29,21 +29,21 @@
 // serves from the reloaded artifact — the full deployment pipeline.
 // Ranking agreement vs exact is reported by bench_quant and gated in CI.
 //
-// --shards N serves through the sharded cluster runtime instead of the
-// monolithic InferenceServer: the snapshot is partitioned by a uniform
-// ShardLayout into N shards, published through a SnapshotRegistry, and
-// the request mix is driven through the ClusterServer's admission queue
-// (every 4th request in the batch class, the rest interactive).
+// The snapshot is partitioned by a uniform ShardLayout into --shards N
+// shards (default 1, the monolithic case; N < 1 is rejected), published
+// through a SnapshotRegistry, and the request mix is driven through the
+// ClusterServer's admission queue (every 4th request in the batch class,
+// the rest interactive). Results are bit-exact for any shard count.
 // --layout PATH loads a declarative NMCDR_SHARD_LAYOUT_V1 JSON instead
 // of the uniform split; it must Validate against the snapshot.
 //
 // --metrics-out PATH writes the full observability dump (schema
 // NMCDR_OBS_V1, src/obs/export.h): trainer epoch spans, per-kernel call
-// counts + FLOP estimates, scoring counters, and the serving latency
-// histogram with p50/p95/p99 (the server is bound to the global registry
-// here; the cluster path lands its cluster.* metrics the same way). The
-// dump is flushed on EVERY exit path, including early failures, so a
-// crashed run still leaves its partial metrics behind for diagnosis.
+// counts + FLOP estimates, and the server's cluster.* counters and
+// latency histograms with p50/p95/p99 (the server is bound to the global
+// registry here). The dump is flushed on EVERY exit path,
+// including early failures, so a crashed run still leaves its partial
+// metrics behind for diagnosis.
 // --profile additionally enables per-op / per-kernel wall-clock timing
 // for this run.
 
@@ -61,7 +61,6 @@
 #include "serving/cluster/cluster_server.h"
 #include "serving/cluster/shard_layout.h"
 #include "serving/cluster/sharded_snapshot.h"
-#include "serving/inference_server.h"
 #include "serving/model_snapshot.h"
 #include "serving/quantized_snapshot.h"
 #include "serving/score_engine.h"
@@ -140,17 +139,22 @@ int Run(int argc, char** argv) {
     std::printf("kernel backend: %s\n", backend->name());
   }
   // Flag validation before the (seconds-long) train/freeze work below.
-  ScoreEngine::Options engine_options;
+  cluster::ShardedSnapshot::Options sharded_options;
   const std::string mode_name = flags.GetString("mode", "fast");
   if (mode_name == "exact") {
-    engine_options.mode = ScoreEngine::Mode::kExact;
+    sharded_options.mode = ScoreEngine::Mode::kExact;
   } else if (mode_name == "quantized") {
-    engine_options.mode = ScoreEngine::Mode::kQuantized;
+    sharded_options.mode = ScoreEngine::Mode::kQuantized;
   } else if (mode_name == "fast") {
-    engine_options.mode = ScoreEngine::Mode::kFast;
+    sharded_options.mode = ScoreEngine::Mode::kFast;
   } else {
     std::fprintf(stderr, "--mode %s: unknown (exact, fast, quantized)\n",
                  mode_name.c_str());
+    return 2;
+  }
+  const int num_shards = flags.GetInt("shards", 1);
+  if (num_shards < 1) {
+    std::fprintf(stderr, "--shards %d: must be at least 1\n", num_shards);
     return 2;
   }
   const std::string snapshot_path =
@@ -198,85 +202,29 @@ int Run(int argc, char** argv) {
     std::printf("froze + saved %s\n", snapshot_path.c_str());
   }
 
-  // Sharded cluster path: --shards and/or --layout route the same mixed
-  // request stream through ShardedSnapshot + SnapshotRegistry +
-  // ClusterServer instead of the monolithic engine. Results are
-  // bit-exact either way (per-item scores are row-independent); what
-  // changes is the execution shape — per-shard fan-out over the shared
-  // pool and class-aware admission.
-  const int num_shards = flags.GetInt("shards", 0);
   const std::string layout_path = flags.GetString("layout", "");
-  if (num_shards > 0 || !layout_path.empty()) {
-    cluster::ShardLayout layout;
+  cluster::ShardLayout layout;
+  if (!layout_path.empty()) {
     std::string error;
-    if (!layout_path.empty()) {
-      if (!cluster::ShardLayout::Load(layout_path, &layout, &error)) {
-        std::fprintf(stderr, "--layout %s: %s\n", layout_path.c_str(),
-                     error.c_str());
-        return 2;
-      }
-      if (!layout.Validate(snapshot, &error)) {
-        std::fprintf(stderr, "--layout %s does not match the snapshot: %s\n",
-                     layout_path.c_str(), error.c_str());
-        return 2;
-      }
-    } else {
-      layout = cluster::ShardLayout::Uniform(snapshot, num_shards);
+    if (!cluster::ShardLayout::Load(layout_path, &layout, &error)) {
+      std::fprintf(stderr, "--layout %s: %s\n", layout_path.c_str(),
+                   error.c_str());
+      return 2;
     }
-    cluster::ShardedSnapshot::Options sharded_options;
-    sharded_options.mode = engine_options.mode;
-    const auto sharded = std::make_shared<const cluster::ShardedSnapshot>(
-        snapshot, layout, sharded_options);
-
-    cluster::ClusterServer::Options cluster_options;
-    cluster_options.num_threads = flags.GetInt("threads", 4);
-    cluster_options.max_batch = flags.GetInt("batch", 8);
-    cluster_options.metrics = &obs::MetricsRegistry::Global();
-    cluster::ClusterServer server(sharded, cluster_options);
-
-    const int num_requests = flags.GetInt("requests", 400);
-    const int k = flags.GetInt("k", 10);
-    std::vector<std::future<cluster::ClusterResponse>> futures;
-    futures.reserve(num_requests);
-    for (int i = 0; i < num_requests; ++i) {
-      cluster::ClusterRequest request;
-      request.cls = i % 4 == 1 ? cluster::RequestClass::kBatch
-                               : cluster::RequestClass::kInteractive;
-      if (i % 4 == 3 && snapshot.num_domains() >= 2) {
-        request.rec.target_domain = 0;
-        request.rec.user_domain = 1;
-      } else {
-        request.rec.target_domain = request.rec.user_domain =
-            i % snapshot.num_domains();
-      }
-      request.rec.user =
-          i % snapshot.domain(request.rec.user_domain).num_users();
-      request.rec.k = k;
-      futures.push_back(server.Submit(std::move(request)));
+    if (!layout.Validate(snapshot, &error)) {
+      std::fprintf(stderr, "--layout %s does not match the snapshot: %s\n",
+                   layout_path.c_str(), error.c_str());
+      return 2;
     }
-    int64_t served = 0;
-    int64_t cold = 0;
-    for (auto& future : futures) {
-      const cluster::ClusterResponse response = future.get();
-      if (response.status != cluster::ClusterStatus::kOk) continue;
-      ++served;
-      if (response.rec.cold_start) ++cold;
-    }
-    server.Stop();
-    std::printf(
-        "\ncluster: served %lld/%d top-%d requests (%lld cold-start) over "
-        "%d shards, snapshot v%lld\n",
-        static_cast<long long>(served), num_requests, k,
-        static_cast<long long>(cold), layout.num_shards,
-        static_cast<long long>(server.last_observed_version()));
-    return metrics_flusher.Flush() ? 0 : 1;
+  } else {
+    layout = cluster::ShardLayout::Uniform(snapshot, num_shards);
   }
 
-  // Quantized mode runs the full artifact pipeline: quantize at freeze,
-  // save, reload, verify the round trip bit-exactly, and serve from the
-  // reloaded artifact (the three-argument engine constructor).
-  std::unique_ptr<ScoreEngine> engine_storage;
-  if (engine_options.mode == ScoreEngine::Mode::kQuantized) {
+  std::shared_ptr<const cluster::ShardedSnapshot> sharded;
+  if (sharded_options.mode == ScoreEngine::Mode::kQuantized) {
+    // Quantized mode runs the full artifact pipeline: quantize at freeze,
+    // save, reload, verify the round trip bit-exactly, and serve the
+    // shards sliced from the reloaded artifact.
     const std::string quant_path = snapshot_path + ".quant";
     const QuantizedSnapshot quantized = QuantizedSnapshot::Quantize(snapshot);
     if (!quantized.Save(quant_path)) return 1;
@@ -293,53 +241,59 @@ int Run(int argc, char** argv) {
     }
     std::printf("quantized + saved %s (int8 item tables, %d domains)\n",
                 quant_path.c_str(), reloaded.num_domains());
-    engine_storage = std::make_unique<ScoreEngine>(&snapshot, engine_options,
-                                                   std::move(reloaded));
+    sharded = std::make_shared<const cluster::ShardedSnapshot>(
+        snapshot, layout, sharded_options, reloaded);
   } else {
-    engine_storage = std::make_unique<ScoreEngine>(&snapshot, engine_options);
+    sharded = std::make_shared<const cluster::ShardedSnapshot>(
+        snapshot, layout, sharded_options);
   }
-  const ScoreEngine& engine = *engine_storage;
 
-  InferenceServer::Options server_options;
+  cluster::ClusterServer::Options server_options;
   server_options.num_threads = flags.GetInt("threads", 4);
   server_options.max_batch = flags.GetInt("batch", 8);
-  // Bind the server to the global registry so its serving.* metrics land
+  // Bind the server to the global registry so its cluster.* metrics land
   // in the --metrics-out dump alongside the trainer and kernel tables.
   server_options.metrics = &obs::MetricsRegistry::Global();
-  InferenceServer server(&engine, server_options);
+  cluster::ClusterServer server(sharded, server_options);
 
   // Mixed request stream: same-domain traffic for both domains plus a
   // cross-domain slice (domain-1 users asking for domain-0 items, served
   // cold-start when the identity link is unknown).
   const int num_requests = flags.GetInt("requests", 400);
   const int k = flags.GetInt("k", 10);
-  std::vector<std::future<Recommendation>> futures;
+  std::vector<std::future<cluster::ClusterResponse>> futures;
   futures.reserve(num_requests);
   for (int i = 0; i < num_requests; ++i) {
-    RecRequest request;
+    cluster::ClusterRequest request;
+    request.cls = i % 4 == 1 ? cluster::RequestClass::kBatch
+                             : cluster::RequestClass::kInteractive;
     if (i % 4 == 3 && snapshot.num_domains() >= 2) {
-      request.target_domain = 0;
-      request.user_domain = 1;
+      request.rec.target_domain = 0;
+      request.rec.user_domain = 1;
     } else {
-      request.target_domain = request.user_domain =
+      request.rec.target_domain = request.rec.user_domain =
           i % snapshot.num_domains();
     }
-    request.user = i % snapshot.domain(request.user_domain).num_users();
-    request.k = k;
-    futures.push_back(server.Submit(request));
+    request.rec.user =
+        i % snapshot.domain(request.rec.user_domain).num_users();
+    request.rec.k = k;
+    futures.push_back(server.Submit(std::move(request)));
   }
+  int64_t served = 0;
   int64_t cold = 0;
   for (auto& future : futures) {
-    if (future.get().cold_start) ++cold;
+    const cluster::ClusterResponse response = future.get();
+    if (response.status != cluster::ClusterStatus::kOk) continue;
+    ++served;
+    if (response.rec.cold_start) ++cold;
   }
   server.Stop();
-
-  const ScoreEngine::Counters counters = engine.counters();
-  std::printf("\nserved %d top-%d requests (%lld cold-start)\n", num_requests,
-              k, static_cast<long long>(cold));
-  std::printf("engine: %lld requests, %lld pairs scored\n",
-              static_cast<long long>(counters.requests),
-              static_cast<long long>(counters.pairs_scored));
+  std::printf(
+      "\nserved %lld/%d top-%d requests (%lld cold-start) over %d shard(s), "
+      "snapshot v%lld\n",
+      static_cast<long long>(served), num_requests, k,
+      static_cast<long long>(cold), layout.num_shards,
+      static_cast<long long>(server.last_observed_version()));
   std::printf("%s", server.stats().ToString().c_str());
   return metrics_flusher.Flush() ? 0 : 1;
 }
