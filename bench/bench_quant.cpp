@@ -13,7 +13,8 @@
 //   NDCG@10 delta  1 - mean DCG position credit of the exact top-1 inside
 //               the quantized top-10 (1/log2(rank+2), 0 when evicted)
 // plus quantized retrieval throughput relative to the exact and fast fp
-// modes on the synthetic fixture.
+// modes on the synthetic fixture, and (informational, never gated) each
+// mode's top-10 retrieval nanoseconds per scored pair there.
 //
 // Writes BENCH_quant.json (the "quant" block is what
 // scripts/check_bench_regression.py gates: absolute overlap floors plus
@@ -116,15 +117,23 @@ AgreementResult MeasureAgreement(const std::string& name,
   return result;
 }
 
-/// Requests/second of full-catalog top-10 retrieval through `engine`,
-/// round-robin over domain-0 users (allocation-free scratch core, the
-/// drainer configuration).
-double TopKThroughput(const ScoreEngine& engine, double min_seconds) {
+/// Full-catalog top-10 retrieval through one engine: requests/second and
+/// wall nanoseconds per candidate scored (scoring plus heap selection,
+/// divided by the engine's exact pairs-scored count).
+struct Throughput {
+  double req_per_s = 0.0;
+  double ns_per_pair = 0.0;
+};
+
+/// Times top-10 retrieval round-robin over domain-0 users
+/// (allocation-free scratch core, the drainer configuration).
+Throughput TopKThroughput(const ScoreEngine& engine, double min_seconds) {
   const int num_users = engine.snapshot().domain(0).num_users();
   ScoreScratch scratch;
   RecRequest request;
   request.k = 10;
   engine.TopKWithScratch(request, &scratch);  // warm-up (grows scratch)
+  const int64_t pairs_before = engine.counters().pairs_scored;
   Stopwatch timer;
   int64_t requests = 0;
   do {
@@ -132,13 +141,18 @@ double TopKThroughput(const ScoreEngine& engine, double min_seconds) {
     engine.TopKWithScratch(request, &scratch);
     ++requests;
   } while (timer.ElapsedSeconds() < min_seconds);
-  return static_cast<double>(requests) / timer.ElapsedSeconds();
+  const double seconds = timer.ElapsedSeconds();
+  const int64_t pairs = engine.counters().pairs_scored - pairs_before;
+  Throughput t;
+  t.req_per_s = static_cast<double>(requests) / seconds;
+  t.ns_per_pair = seconds * 1e9 / static_cast<double>(pairs);
+  return t;
 }
 
 void WriteJson(const std::string& path,
                const std::vector<AgreementResult>& sections,
-               const AgreementResult& gate, double speedup_vs_exact,
-               double speedup_vs_fast, bool smoke) {
+               const AgreementResult& gate, const Throughput& exact,
+               const Throughput& fast, const Throughput& quant, bool smoke) {
   std::ofstream out(path);
   if (!out.good()) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
@@ -156,10 +170,16 @@ void WriteJson(const std::string& path,
   out << "    \"hr10_delta\": " << FormatFloat(gate.hr10_delta, 5) << ",\n";
   out << "    \"ndcg10_delta\": " << FormatFloat(gate.ndcg10_delta, 5)
       << ",\n";
-  out << "    \"speedup_vs_exact\": " << FormatFloat(speedup_vs_exact, 3)
-      << ",\n";
-  out << "    \"speedup_vs_fast\": " << FormatFloat(speedup_vs_fast, 3)
-      << "\n  },\n";
+  out << "    \"speedup_vs_exact\": "
+      << FormatFloat(quant.req_per_s / exact.req_per_s, 3) << ",\n";
+  out << "    \"speedup_vs_fast\": "
+      << FormatFloat(quant.req_per_s / fast.req_per_s, 3) << "\n  },\n";
+  // Informational, never gated: top-10 retrieval cost per scored pair on
+  // the synthetic fixture, per scoring mode.
+  out << "  \"ns_per_pair\": {\"exact\": " << FormatFloat(exact.ns_per_pair, 2)
+      << ", \"fast\": " << FormatFloat(fast.ns_per_pair, 2)
+      << ", \"quantized\": " << FormatFloat(quant.ns_per_pair, 2)
+      << "},\n";
   out << "  \"sections\": [\n";
   for (size_t i = 0; i < sections.size(); ++i) {
     const AgreementResult& r = sections[i];
@@ -202,7 +222,7 @@ int Run(bool smoke) {
 
   // Fixture 2: a synthetic serving-scale catalog — the overlap gate at
   // production-like item counts, plus the throughput comparison.
-  double speedup_vs_exact = 0.0, speedup_vs_fast = 0.0;
+  Throughput exact_tp, fast_tp, quant_tp;
   {
     SyntheticSnapshotSpec spec;
     spec.num_domains = 2;
@@ -219,15 +239,16 @@ int Run(bool smoke) {
     sections.push_back(MeasureAgreement("synthetic catalog", exact, quant,
                                         smoke ? 50 : 200));
     const double min_seconds = smoke ? 0.05 : 0.5;
-    const double exact_rps = TopKThroughput(exact, min_seconds);
-    const double fast_rps = TopKThroughput(fast, min_seconds);
-    const double quant_rps = TopKThroughput(quant, min_seconds);
-    speedup_vs_exact = quant_rps / exact_rps;
-    speedup_vs_fast = quant_rps / fast_rps;
+    exact_tp = TopKThroughput(exact, min_seconds);
+    fast_tp = TopKThroughput(fast, min_seconds);
+    quant_tp = TopKThroughput(quant, min_seconds);
     std::printf(
         "\nTop-10 retrieval throughput (req/s): exact %.0f, fast %.0f, "
-        "quantized %.0f\n",
-        exact_rps, fast_rps, quant_rps);
+        "quantized %.0f\n"
+        "Top-10 retrieval ns per scored pair: exact %.1f, fast %.1f, "
+        "quantized %.1f\n",
+        exact_tp.req_per_s, fast_tp.req_per_s, quant_tp.req_per_s,
+        exact_tp.ns_per_pair, fast_tp.ns_per_pair, quant_tp.ns_per_pair);
   }
 
   // The gated aggregate: worst agreement across fixtures.
@@ -267,8 +288,8 @@ int Run(bool smoke) {
   std::printf("\nQuantized vs fp-exact ranking agreement\n%s",
               table.ToString().c_str());
 
-  WriteJson("BENCH_quant.json", sections, gate, speedup_vs_exact,
-            speedup_vs_fast, smoke);
+  WriteJson("BENCH_quant.json", sections, gate, exact_tp, fast_tp, quant_tp,
+            smoke);
 
   // The release floor: full-scale runs must keep the quantized top-10
   // essentially identical to fp; smoke fixtures are tiny (near-ties crowd

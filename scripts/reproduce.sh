@@ -13,8 +13,9 @@
 #              pre-release gate; budget ~3x the plain smoke time.
 #   --fast   — both sanitizer legs run only the TSan-filtered concurrent
 #              subset CI uses (serving_engine_test serving_test
-#              cluster_test thread_pool_test backend_equivalence_test
-#              integration_test obs_test program_test trainer_test — the
+#              cluster_test scoring_kernels_test thread_pool_test
+#              backend_equivalence_test integration_test obs_test
+#              program_test trainer_test — the
 #              last two cover the fused graph-program replay, which
 #              dispatches onto the same shared pool). Catches the races
 #              and lifetime bugs that actually involve threads in a
@@ -34,10 +35,12 @@ export NMCDR_BENCH_SCALE="$SCALE"
 # The concurrent-surface test subset (mirrors the CI tsan-serving job).
 # program_test / trainer_test exercise the fused graph-program replay —
 # fusion is default-on, so the sanitizers see the fused kernels sharded
-# across the 4-thread pool.
+# across the 4-thread pool. scoring_kernels_test runs the lane-wise scoring
+# cores over scratch of exactly the documented size, so ASan sees any lane
+# load or store past a row or buffer end.
 SANITIZER_SUBSET=(serving_engine_test serving_test cluster_test
-  thread_pool_test backend_equivalence_test integration_test obs_test
-  program_test trainer_test)
+  scoring_kernels_test thread_pool_test backend_equivalence_test
+  integration_test obs_test program_test trainer_test)
 
 cmake -B build -G Ninja
 cmake --build build

@@ -320,6 +320,11 @@ Recommendation ShardedSnapshot::TopKWithScratch(const RecRequest& request,
 
   // Restore the all-zero bitmap invariant (only the bits set above).
   for (int item : request.exclude) excluded[item] = 0;
+  int64_t scored = 0;
+  for (int s = 0; s < layout_.num_shards; ++s) {
+    scored += static_cast<int64_t>(scratch->per_shard[s].candidates.size());
+  }
+  RecordScoringRequest(resolved.cold_start, scored);
 
   // Deterministic merge: every shard's winners under the shared total
   // order; the best k of the union are exactly the global best k. Global

@@ -14,27 +14,6 @@
 namespace nmcdr {
 namespace {
 
-/// Mirrors the engine's own relaxed-atomic counters (the `counters()` API,
-/// always exact) into the global registry so scoring traffic shows up in
-/// --metrics-out dumps. Gated per call; the registry lookups resolve once.
-/// Safe from pool workers: statics are init-once, counters are sharded.
-void MirrorRequestMetric(bool cold_start) {
-  if (!obs::MetricsEnabled()) return;
-  static obs::Counter& requests =
-      obs::MetricsRegistry::Global().GetCounter("scoring.requests");
-  static obs::Counter& cold =
-      obs::MetricsRegistry::Global().GetCounter("scoring.cold_start_requests");
-  requests.Add(1);
-  if (cold_start) cold.Add(1);
-}
-
-void MirrorPairsMetric(int64_t n) {
-  if (!obs::MetricsEnabled()) return;
-  static obs::Counter& pairs =
-      obs::MetricsRegistry::Global().GetCounter("scoring.pairs_scored");
-  pairs.Add(n);
-}
-
 /// (score, item) entry ordered so a worst-on-top binary heap's front() is
 /// the WORST kept candidate (RanksBefore acts as the strict weak "less").
 /// Used with std::push_heap / std::pop_heap over ScoreScratch::heap —
@@ -48,6 +27,19 @@ struct HeapWorstOnTop {
 };
 
 }  // namespace
+
+void RecordScoringRequest(bool cold_start, int64_t pairs_scored) {
+  if (!obs::MetricsEnabled()) return;
+  static obs::Counter& requests =
+      obs::MetricsRegistry::Global().GetCounter("scoring.requests");
+  static obs::Counter& cold =
+      obs::MetricsRegistry::Global().GetCounter("scoring.cold_start_requests");
+  static obs::Counter& pairs =
+      obs::MetricsRegistry::Global().GetCounter("scoring.pairs_scored");
+  requests.Add(1);
+  if (cold_start) cold.Add(1);
+  pairs.Add(pairs_scored);
+}
 
 void ScoreScratch::Prepare(int num_items, int item_block, int head_width,
                            int dim) {
@@ -172,7 +164,6 @@ void ScoreEngine::ScoreIds(int target_domain, const float* u, const int* ids,
                            options_.item_block, out);
   }
   pairs_scored_.fetch_add(n, std::memory_order_relaxed);
-  MirrorPairsMetric(n);
 }
 
 std::vector<float> ScoreEngine::ScoreCandidates(
@@ -190,7 +181,8 @@ std::vector<float> ScoreEngine::ScoreCandidates(
   if (resolved.cold_start) {
     cold_start_requests_.fetch_add(1, std::memory_order_relaxed);
   }
-  MirrorRequestMetric(resolved.cold_start);
+  RecordScoringRequest(resolved.cold_start,
+                       static_cast<int64_t>(candidates.size()));
   const FrozenPredictionHead& head =
       snapshot_->domain(target_domain).frozen.head;
   ScoreScratch scratch;
@@ -224,7 +216,6 @@ Recommendation ScoreEngine::TopKWithScratch(const RecRequest& request,
   if (resolved.cold_start) {
     cold_start_requests_.fetch_add(1, std::memory_order_relaxed);
   }
-  MirrorRequestMetric(resolved.cold_start);
 
   const FrozenDomainState& frozen =
       snapshot_->domain(request.target_domain).frozen;
@@ -279,6 +270,8 @@ Recommendation ScoreEngine::TopKWithScratch(const RecRequest& request,
 
   // Restore the all-zero bitmap invariant (only the bits set above).
   for (int item : request.exclude) excluded[item] = 0;
+  RecordScoringRequest(resolved.cold_start,
+                       static_cast<int64_t>(candidates.size()));
 
   // RanksBefore is a total order, so sorting the kept set best-first
   // yields exactly the sequence the old heap-drain extraction produced.

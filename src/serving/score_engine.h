@@ -71,6 +71,15 @@ inline bool RanksBefore(float score_a, int item_a, float score_b,
   return item_a < item_b;
 }
 
+/// Mirrors one served request into the global metrics registry
+/// (`scoring.requests`, `scoring.cold_start_requests` and
+/// `scoring.pairs_scored`, the candidates actually scored) so scoring
+/// traffic shows up in --metrics-out dumps whichever front end served it
+/// (ScoreEngine or cluster::ShardedSnapshot). Call once per request, not
+/// per pair. Gated on obs::MetricsEnabled(); the registry lookups resolve
+/// once, so a call never allocates. Safe from pool workers.
+void RecordScoringRequest(bool cold_start, int64_t pairs_scored) NMCDR_HOT;
+
 /// Autograd-free batched scorer over a frozen ModelSnapshot: dense GEMMs
 /// over candidate blocks plus heap-based top-K retrieval. All methods are
 /// const and safe to call concurrently (counters are atomic); the

@@ -18,11 +18,10 @@ namespace scoring {
 /// callers evaluate the SAME code over the SAME per-item rows, which is
 /// what makes sharded top-K bit-identical to single-snapshot top-K: every
 /// kernel here is row-independent — the score of item row i never depends
-/// on which other rows share the block or the shard.
-
-/// Activates h[0..n) in place; the dispatch happens once per call, not per
-/// element (the fast scoring loop is dominated by such per-scalar costs).
-void ActivateInPlace(float* h, int n, ag::Activation act) NMCDR_HOT;
+/// on which other rows share the block or the shard. The kFast and
+/// kQuantized cores run in SIMD lanes (tensor/simd.h) but keep the scalar
+/// per-item float operation order, so their scores do not depend on the
+/// ISA the TU was built for (DESIGN.md §6).
 
 /// kFast precompute: item-side first-layer partials with the bias folded
 /// in, item_reps * w0_item + b0, [num_items, H]. Computed once per frozen

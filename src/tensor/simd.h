@@ -1,11 +1,12 @@
 #ifndef NMCDR_TENSOR_SIMD_H_
 #define NMCDR_TENSOR_SIMD_H_
 
+#include <cstdint>
 #include <cstring>
 
 // Portable fixed-width lane abstraction for the explicitly vectorized
-// kernel cores (tensor/vector_kernels.cc). Two interchangeable
-// implementations sit behind the same tiny API:
+// kernel cores (tensor/vector_kernels.cc, serving/scoring_kernels.cc).
+// Two interchangeable implementations sit behind the same tiny API:
 //
 //   - GNU vector extensions (__attribute__((vector_size))) on GCC/Clang:
 //     the compiler lowers lane-wise + and * directly to SSE/AVX/NEON
@@ -94,6 +95,60 @@ inline void NarrowStoreF32(float* p, F64x4 a) {
   std::memcpy(p, &h, sizeof(h));
 }
 
+/// Four float lanes: the accumulator width of the scoring kernels'
+/// four-way dot (serving/scoring_kernels.cc), whose lanes must be exactly
+/// the scalar reference's four accumulators.
+struct F32x4 {
+  typedef float Native __attribute__((vector_size(4 * sizeof(float))));
+  Native v;
+};
+
+inline F32x4 ZeroF32x4() { return F32x4{F32x4::Native{}}; }
+
+inline F32x4 LoadF32x4(const float* p) {
+  F32x4 r;
+  std::memcpy(&r.v, p, sizeof(r.v));
+  return r;
+}
+
+inline void StoreF32x4(float* p, F32x4 a) {
+  std::memcpy(p, &a.v, sizeof(a.v));
+}
+
+inline F32x4 Add(F32x4 a, F32x4 b) { return F32x4{a.v + b.v}; }
+inline F32x4 Mul(F32x4 a, F32x4 b) { return F32x4{a.v * b.v}; }
+
+/// Lanes 0..3 / 4..7 of an F32x8 (a register split, no arithmetic).
+inline F32x4 LowHalf(F32x8 a) {
+  F32x4 r;
+  std::memcpy(&r.v, &a.v, sizeof(r.v));
+  return r;
+}
+
+inline F32x4 HighHalf(F32x8 a) {
+  F32x4 r;
+  std::memcpy(&r.v, reinterpret_cast<const char*>(&a.v) + sizeof(r.v),
+              sizeof(r.v));
+  return r;
+}
+
+inline F32x8 Sub(F32x8 a, F32x8 b) { return F32x8{a.v - b.v}; }
+
+/// Lane-wise `a > 0 ? a : 0`: NaN and -0 lanes become +0, exactly like
+/// the scalar select (a compare and a blend, not a max).
+inline F32x8 Relu(F32x8 a) {
+  const F32x8::Native zero{};
+  return F32x8{a.v > zero ? a.v : zero};
+}
+
+/// Converts 8 consecutive int8 codes to float lanes (exact).
+inline F32x8 WidenLoadI8(const int8_t* p) {
+  typedef int8_t I8x8 __attribute__((vector_size(kFloatLanes)));
+  I8x8 q;
+  std::memcpy(&q, p, sizeof(q));
+  return F32x8{__builtin_convertvector(q, F32x8::Native)};
+}
+
 #else  // !NMCDR_SIMD_VECTOR_EXT — fixed-trip scalar fallback
 
 struct F32x8 {
@@ -168,6 +223,62 @@ inline F64x4 Mul(F64x4 a, F64x4 b) {
 
 inline void NarrowStoreF32(float* p, F64x4 a) {
   for (int j = 0; j < kDoubleLanes; ++j) p[j] = static_cast<float>(a.v[j]);
+}
+
+struct F32x4 {
+  float v[4];
+};
+
+inline F32x4 ZeroF32x4() { return F32x4{{0.f, 0.f, 0.f, 0.f}}; }
+
+inline F32x4 LoadF32x4(const float* p) {
+  F32x4 r;
+  std::memcpy(r.v, p, sizeof(r.v));
+  return r;
+}
+
+inline void StoreF32x4(float* p, F32x4 a) { std::memcpy(p, a.v, sizeof(a.v)); }
+
+inline F32x4 Add(F32x4 a, F32x4 b) {
+  F32x4 r;
+  for (int j = 0; j < 4; ++j) r.v[j] = a.v[j] + b.v[j];
+  return r;
+}
+
+inline F32x4 Mul(F32x4 a, F32x4 b) {
+  F32x4 r;
+  for (int j = 0; j < 4; ++j) r.v[j] = a.v[j] * b.v[j];
+  return r;
+}
+
+inline F32x4 LowHalf(F32x8 a) {
+  F32x4 r;
+  std::memcpy(r.v, a.v, sizeof(r.v));
+  return r;
+}
+
+inline F32x4 HighHalf(F32x8 a) {
+  F32x4 r;
+  std::memcpy(r.v, a.v + 4, sizeof(r.v));
+  return r;
+}
+
+inline F32x8 Sub(F32x8 a, F32x8 b) {
+  F32x8 r;
+  for (int j = 0; j < kFloatLanes; ++j) r.v[j] = a.v[j] - b.v[j];
+  return r;
+}
+
+inline F32x8 Relu(F32x8 a) {
+  F32x8 r;
+  for (int j = 0; j < kFloatLanes; ++j) r.v[j] = a.v[j] > 0.f ? a.v[j] : 0.f;
+  return r;
+}
+
+inline F32x8 WidenLoadI8(const int8_t* p) {
+  F32x8 r;
+  for (int j = 0; j < kFloatLanes; ++j) r.v[j] = static_cast<float>(p[j]);
+  return r;
 }
 
 #endif  // NMCDR_SIMD_VECTOR_EXT

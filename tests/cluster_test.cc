@@ -7,8 +7,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "core/nmcdr_model.h"
+#include "obs/metrics.h"
 #include "obs/obs.h"
 #include "serving/cluster/admission.h"
 #include "serving/cluster/cluster_server.h"
@@ -234,6 +237,50 @@ TEST(ShardedSnapshotTest, KLargerThanCatalogReturnsEverything) {
   const Recommendation rec = sharded.TopK(request);
   EXPECT_EQ(static_cast<int>(rec.items.size()),
             snapshot.domain(0).num_items());
+}
+
+TEST(ShardedSnapshotTest, RecordsScoringMetricsOncePerRequest) {
+  // The sharded path mirrors the same scoring.* counters as ScoreEngine:
+  // per request one count, its cold-start flag, and exactly the
+  // candidates scored (the catalog minus the distinct excluded items).
+  const obs::MetricsEnabledGuard metrics_on(true);
+  const ModelSnapshot& snapshot = Pair().snapshot;
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const obs::Counter& requests = registry.GetCounter("scoring.requests");
+  const obs::Counter& cold = registry.GetCounter("scoring.cold_start_requests");
+  const obs::Counter& pairs = registry.GetCounter("scoring.pairs_scored");
+  const std::vector<RecRequest> batch = MixedRequests(snapshot, 3);
+  const ScoreEngine engine(&snapshot);
+  const ShardedSnapshot one_shard(snapshot, ShardLayout::Uniform(snapshot, 1));
+  const ShardedSnapshot three_shards(snapshot,
+                                     ShardLayout::Uniform(snapshot, 3));
+  const std::vector<
+      std::pair<const char*, std::function<Recommendation(const RecRequest&)>>>
+      front_ends = {
+          {"engine", [&](const RecRequest& r) { return engine.TopK(r); }},
+          {"1 shard", [&](const RecRequest& r) { return one_shard.TopK(r); }},
+          {"3 shards",
+           [&](const RecRequest& r) { return three_shards.TopK(r); }},
+      };
+  for (const auto& [name, top_k] : front_ends) {
+    const int64_t requests0 = requests.Value();
+    const int64_t cold0 = cold.Value();
+    const int64_t pairs0 = pairs.Value();
+    int64_t want_cold = 0, want_pairs = 0;
+    for (const RecRequest& request : batch) {
+      const std::set<int> excluded(request.exclude.begin(),
+                                   request.exclude.end());
+      want_pairs += snapshot.domain(request.target_domain).num_items() -
+                    static_cast<int64_t>(excluded.size());
+      if (top_k(request).cold_start) ++want_cold;
+    }
+    SCOPED_TRACE(name);
+    EXPECT_GT(want_cold, 0);
+    EXPECT_EQ(requests.Value() - requests0,
+              static_cast<int64_t>(batch.size()));
+    EXPECT_EQ(cold.Value() - cold0, want_cold);
+    EXPECT_EQ(pairs.Value() - pairs0, want_pairs);
+  }
 }
 
 TEST(ShardedSnapshotTest, SlicingReloadedQuantizedArtifactMatchesQuantizing) {
